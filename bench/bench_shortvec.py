@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the short-vector enumeration kernel: numba vs plain Python.
+"""Benchmark the short-vector enumeration kernel.
 
-Runs the same fixed-norm coset enumerations through both paths and prints
-a timing table.  The plain path is the identical function without @njit,
-which is also what VOAPLUS_JIT=0 selects at runtime.
+Runs five fixed-norm enumerations (whole lattices, or every order-<=2
+coset of one) through ``kernels.enumerate_offsets`` and prints each case's
+best time over ``--repeat`` runs and the number of vectors found.
 
-Usage: python bench/bench_shortvec.py [--repeat N]
+Usage: PYTHONPATH=src python bench/bench_shortvec.py [--repeat N]
 """
 
 import argparse
@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from voaplus import parse_spec
-from voaplus.kernels import HAVE_NUMBA, enumerate_offsets
+from voaplus.kernels import enumerate_offsets
 
 CASES = [
     ("E8 roots", "E8", None, 2),
@@ -24,18 +24,13 @@ CASES = [
 ]
 
 
-def run_case(lat, coset_mode, m, jit):
-    gram = [list(r) for r in lat.gram]
-    ginv = [float(lat.dual_gram[i][i]) for i in range(lat.rank)]
-    total = 0
+def run_case(lat, coset_mode, m):
     if coset_mode is None:
-        reps = [tuple(Fraction(0) for _ in range(lat.rank))]
+        reps = [(0,) * lat.rank]
     else:
-        reps = [c.rep for c in lat.discriminant.torsion2_reps[:64]]
-    for rep in reps:
-        total += len(enumerate_offsets(gram, list(rep), Fraction(m), ginv,
-                                       jit=jit))
-    return total
+        reps = [c.rep for c in lat.discriminant.torsion2_reps]
+    return sum(len(enumerate_offsets(lat.gram, rep, Fraction(m)))
+               for rep in reps)
 
 
 def main():
@@ -43,29 +38,15 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    if not HAVE_NUMBA:
-        print("numba unavailable: benchmarking the plain path only")
-
-    print("%-24s %12s %12s %9s" % ("case", "numba [s]", "plain [s]", "speedup"))
+    print("%-24s %10s %9s" % ("case", "best [s]", "vectors"))
     for name, spec, coset_mode, m in CASES:
         lat = parse_spec(spec)
-        run_case(lat, coset_mode, m, jit=True)   # warm the compile cache
-        times = {}
-        for jit in (True, False):
-            if jit and not HAVE_NUMBA:
-                continue
-            best = float("inf")
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                count = run_case(lat, coset_mode, m, jit=jit)
-                best = min(best, time.perf_counter() - t0)
-            times[jit] = best
-        if HAVE_NUMBA:
-            print("%-24s %12.4f %12.4f %8.1fx  (%d vectors)"
-                  % (name, times[True], times[False],
-                     times[False] / max(times[True], 1e-9), count))
-        else:
-            print("%-24s %12s %12.4f" % (name, "-", times[False]))
+        best = float("inf")
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            count = run_case(lat, coset_mode, m)
+            best = min(best, time.perf_counter() - t0)
+        print("%-24s %10.4f %9d" % (name, best, count))
 
 
 if __name__ == "__main__":

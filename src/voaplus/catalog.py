@@ -67,11 +67,8 @@ def _embedding_lattice(rows):
     """Lattice of the row span under the standard dot product."""
     scaled, den = intmat.scaled_integer_rows(rows)
     basis = intmat.hnf(scaled, len(rows[0]))
-    bfrac = [[Fraction(x, den) for x in row] for row in basis]
-    n = len(bfrac)
-    gram = [[sum(bfrac[i][k] * bfrac[j][k] for k in range(len(bfrac[0])))
-             for j in range(n)] for i in range(n)]
-    return make_lattice([[int(x) for x in row] for row in gram])
+    return make_lattice([[intmat.dot(bi, bj) // (den * den)
+                          for bj in basis] for bi in basis])
 
 
 def _d_rows(n):

@@ -5,7 +5,7 @@ positional SPEC is either a constructor expression (see catalog) or a path
 to a JSON document with a "gram" (lattice) or "length"/"generators" (code)
 field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
 assertion failure.  VOAPLUS_RANK_BOUND overrides the isometry-search rank
-bound (default 4); VOAPLUS_JIT=0 disables the compiled enumeration kernel.
+bound (default 4).
 """
 
 import argparse

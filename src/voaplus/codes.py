@@ -10,7 +10,8 @@ headroom), so weight questions are settled by enumerating all 2^k words.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionTooLarge, LengthMismatch, WrongLength
+from .errors import (CrossCheckFailed, DimensionTooLarge, LengthMismatch,
+                     WrongLength)
 
 ENUM_DIM_LIMIT = 20
 
@@ -233,8 +234,10 @@ def rm14_subcode(code):
         return None
 
     witness = extend([], {0, one}, 0)
-    if witness is not None:
-        assert witness.weight_distribution == {0: 1, 8: 30, 16: 1}
+    if (witness is not None
+            and witness.weight_distribution != {0: 1, 8: 30, 16: 1}):
+        raise CrossCheckFailed("RM(1,4) witness has weights %s"
+                               % witness.weight_distribution)
     return witness
 
 

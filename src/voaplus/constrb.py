@@ -18,8 +18,8 @@ from . import intmat
 from .codes import BinaryCode, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import (Coset, Lattice, canonicalize_coset, count_norm,
-                      require_even, same_lattice, vectors_of_norm)
+from .lattice import (Coset, Lattice, count_norm, require_even,
+                      scaled_vectors_of_norm)
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,28 @@ class FrameDecomposition:
     signs: tuple
 
 
+def _generator_rows(yframe, code, signs=None):
+    """construction_b_generators over integer frame rows, times 2.
+
+    With the frame e_i = yframe[i] / q, returns integer rows whose quotients
+    by 2q generate the Construction-B lattice.
+    """
+    n = len(yframe)
+    signs = (1,) * n if signs is None else signs
+    rows = []
+    for word in code.basis:
+        acc = [0] * len(yframe[0])
+        for i in range(n):
+            if (word >> i) & 1:
+                s = signs[i]
+                acc = [a + s * c for a, c in zip(acc, yframe[i])]
+        rows.append(acc)
+    rows.append([4 * c for c in yframe[0]])
+    for i in range(n - 1):
+        rows.append([2 * (a + b) for a, b in zip(yframe[i], yframe[i + 1])])
+    return rows
+
+
 def construction_b_generators(frame, code, signs=None):
     """Generators of the Construction-B lattice over the given frame.
 
@@ -56,21 +78,9 @@ def construction_b_generators(frame, code, signs=None):
     the halved signed codeword sums plus the span of all two-frame-vector
     sums (for which signs are irrelevant).
     """
-    n = len(frame)
-    signs = tuple([1] * n) if signs is None else tuple(signs)
-    gens = []
-    for word in code.basis:
-        acc = [Fraction(0)] * len(frame[0])
-        for i in range(n):
-            if (word >> i) & 1:
-                s = signs[i]
-                acc = [a + s * Fraction(c) for a, c in zip(acc, frame[i])]
-        gens.append(tuple(a / 2 for a in acc))
-    gens.append(tuple(2 * Fraction(c) for c in frame[0]))
-    for i in range(n - 1):
-        gens.append(tuple(Fraction(a) + Fraction(b)
-                          for a, b in zip(frame[i], frame[i + 1])))
-    return gens
+    yframe, q = intmat.scaled_integer_rows(frame)
+    return [tuple(Fraction(c, 2 * q) for c in row)
+            for row in _generator_rows(yframe, code, signs)]
 
 
 def build_construction_b(code, signs=None):
@@ -83,22 +93,17 @@ def build_construction_b(code, signs=None):
     if not code.is_doubly_even:
         raise NotDoublyEven("Construction B needs a doubly even code")
     n = code.length
-    frame = [tuple(Fraction(1 if j == i else 0) for j in range(n))
-             for i in range(n)]
-    gens = construction_b_generators(frame, code, signs)
-    rows, den = intmat.scaled_integer_rows(gens)
-    basis = intmat.hnf(rows, n)
+    # the basis rows over 2, in the ambient form 2*I: G = B B' / 2
+    basis = intmat.hnf(_generator_rows(intmat.identity(n), code, signs), n)
     if len(basis) != n:
         raise Incomplete("construction generators did not span full rank")
-    bfrac = [[Fraction(x, den) for x in row] for row in basis]
-    gram = [[2 * sum(bfrac[i][k] * bfrac[j][k] for k in range(n))
-             for j in range(n)] for i in range(n)]
-    if any(e.denominator != 1 for row in gram for e in row):
+    gram = [[intmat.dot(bi, bj) for bj in basis] for bi in basis]
+    if any(e % 2 for row in gram for e in row):
         raise NotDoublyEven("generators produced a non-integral form")
-    lat = Lattice([[int(e) for e in row] for row in gram])
-    # ambient frame vector u_i has basis coordinates u_i * B^-1 (row i)
-    binv = intmat.invert_fraction(bfrac)
-    frame_coords = [tuple(binv[i]) for i in range(n)]
+    lat = Lattice([[e // 2 for e in row] for row in gram])
+    # ambient frame vector u_i has basis coordinates u_i * (B/2)^-1 (row i)
+    adj, det = intmat.adjugate(basis)
+    frame_coords = [tuple(Fraction(2 * x, det) for x in row) for row in adj]
     return lat, frame_coords
 
 
@@ -134,28 +139,6 @@ def is_construction_b(lat):
     return True
 
 
-def _scaled(vecs):
-    """Common-denominator integer views of rational vectors: (rows, den)."""
-    den = 1
-    for v in vecs:
-        for c in v:
-            d = Fraction(c).denominator
-            den = den * d // _gcd_int(den, d)
-    rows = [[int(Fraction(c) * den) for c in v] for v in vecs]
-    return rows, den
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _gram_times_int(gram, y):
-    n = len(y)
-    return [sum(gram[i][j] * y[j] for j in range(n)) for i in range(n)]
-
-
 def extract_frame(lat, coset):
     """Greedy orthogonal frame inside a qualifying coset.
 
@@ -167,7 +150,8 @@ def extract_frame(lat, coset):
     """
     require_even(lat)
     bound = 2 * lat.rank + lat.root_count
-    count = count_norm(lat, coset, 2)
+    q, ys = scaled_vectors_of_norm(lat, coset, 2)
+    count = len(ys)
     if not coset.order2 or count < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
                           % coset.label())
@@ -175,16 +159,13 @@ def extract_frame(lat, coset):
         raise EqualityViolated(
             "coset %s has %d norm-2 vectors, bound %d"
             % (coset.label(), count, bound))
-    vecs = vectors_of_norm(lat, coset, 2)
-    ys, _ = _scaled(vecs)
-    gram = [list(r) for r in lat.gram]
     n = lat.rank
     frame = []
     chosen_gy = []
-    for v, y in zip(vecs, ys):
-        if all(sum(y[j] * gy[j] for j in range(n)) == 0 for gy in chosen_gy):
-            frame.append(v)
-            chosen_gy.append(_gram_times_int(gram, y))
+    for y in ys:
+        if all(intmat.dot(y, gy) == 0 for gy in chosen_gy):
+            frame.append(tuple(Fraction(c, q) for c in y))
+            chosen_gy.append(lat.gram_times(y))
             if len(frame) == n:
                 return tuple(frame)
     raise Incomplete("frame extraction stalled at %d of %d vectors"
@@ -246,11 +227,9 @@ def extract_code(lat, frame, coset):
     exactly against the lattice basis.
     """
     n = lat.rank
-    rep = coset.rep
-    scaled, q = _scaled(list(frame) + [rep])
+    scaled, q = intmat.scaled_integer_rows(list(frame) + [coset.rep])
     yframe, yrep = scaled[:n], scaled[n]
-    gram = [list(r) for r in lat.gram]
-    gy = [_gram_times_int(gram, y) for y in yframe]
+    gy = [lat.gram_times(y) for y in yframe]
 
     # pairing of e_i with the j-th basis vector is gy[i][j]/q, with the
     # coset representative it is <yrep, gy[i]>/q^2; both are integers.
@@ -266,7 +245,7 @@ def extract_code(lat, frame, coset):
         words.append(word)
     word = 0
     for i in range(n):
-        p, r = divmod(sum(yrep[j] * gy[i][j] for j in range(n)), q * q)
+        p, r = divmod(intmat.dot(yrep, gy[i]), q * q)
         if r:
             raise Incomplete("frame pairing was not integral")
         if p % 2:
@@ -295,10 +274,10 @@ def extract_code(lat, frame, coset):
         raise NoSignPattern("sign parity system is inconsistent")
     signs = tuple(-1 if f else 1 for f in flips)
 
-    rebuilt = construction_b_generators(frame, code, signs)
-    unit = [tuple(Fraction(1 if j == i else 0) for j in range(n))
-            for i in range(n)]
-    if not same_lattice(rebuilt, unit):
+    # both sides scaled by 2q: the rebuilt generators and the basis of L
+    rebuilt = _generator_rows(yframe, code, signs)
+    unit = [[2 * q if j == i else 0 for j in range(n)] for i in range(n)]
+    if not intmat.same_row_lattice(rebuilt, unit):
         raise NoSignPattern("rebuilt lattice differs from the original")
     return FrameDecomposition(coset=coset, frame=tuple(frame), code=code,
                               signs=signs)
@@ -326,20 +305,23 @@ def structural_cosets(lat, dec):
     coset only when it lies in the dual and has order <= 2, which happens
     exactly when the code contains the all-one word.
     """
-    n = lat.rank
-    quarter = [Fraction(0)] * n
-    for s, e in zip(dec.signs, dec.frame):
-        quarter = [a + s * c for a, c in zip(quarter, e)]
-    plus_vec = tuple(a / 4 for a in quarter)
-    minus_vec = tuple(a - dec.signs[0] * c
-                      for a, c in zip(plus_vec, dec.frame[0]))
+    yframe, q = intmat.scaled_integer_rows(dec.frame)
+    plus = [0] * lat.rank
+    for s, y in zip(dec.signs, yframe):
+        plus = [a + s * c for a, c in zip(plus, y)]
+    minus = [a - 4 * dec.signs[0] * c for a, c in zip(plus, yframe[0])]
+    disc = lat.discriminant
 
-    def classify(vec):
-        if not lat.in_dual(vec):
+    def classify(num):
+        # the vector is num / 4q: twice it lies in L iff 2q | num, and it
+        # lies in the dual iff 4q | G num
+        if any(c % (2 * q) for c in num):
             return None
-        if not lat.in_lattice(tuple(2 * x for x in vec)):
+        gv = lat.gram_times(num)
+        if any(c % (4 * q) for c in gv):
             return None
-        return canonicalize_coset(lat, vec)
+        return disc.coset_of_element(
+            disc.element_of_image([c // (4 * q) for c in gv]))
 
-    return StructuralCosets(twist_plus=classify(plus_vec),
-                            twist_minus=classify(minus_vec))
+    return StructuralCosets(twist_plus=classify(plus),
+                            twist_minus=classify(minus))

@@ -127,3 +127,7 @@ class NotPowerOfTwo(InternalCheckError):
 
 class CrossCheckFailed(InternalCheckError):
     """Two provably equivalent predicates disagreed."""
+
+
+class SplitCheckFailed(InternalCheckError):
+    """The even sublattice of an odd lattice failed a structural check."""

@@ -1,12 +1,15 @@
 """Exact integer and rational matrix routines.
 
-Determinants (Bareiss), Hermite and Smith normal forms, left kernels and
-dense Fraction inverses, all over plain Python arbitrary-precision numbers.
-Matrices are lists of row lists.  Sizes in this package stay tiny
-(rank <= 20), so the straightforward algorithms are the right ones.
+Determinants and adjugates (Bareiss), Hermite and Smith normal forms, left
+kernels and dense Fraction inverses, all over plain Python
+arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
+this package stay tiny (rank <= 20), so the straightforward algorithms are
+the right ones.
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import RankDeficient
 
@@ -24,6 +27,11 @@ def xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+def dot(u, v):
+    """Sum of the products of matching entries."""
+    return sum(map(mul, u, v))
 
 
 def identity(n):
@@ -174,29 +182,15 @@ def solve_integral(basis, target):
     return coeffs
 
 
-def common_denominator(vectors):
-    d = 1
-    for v in vectors:
-        for x in v:
-            fx = Fraction(x)
-            d = d * fx.denominator // _gcd(d, fx.denominator)
-    return d
+def scaled_integer_rows(vectors):
+    """Clear denominators: returns (int rows, den) with rows = den * vectors.
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def scaled_integer_rows(vectors, den=None):
-    """Clear denominators: returns (int rows, den) with rows = den * vectors."""
-    if den is None:
-        den = common_denominator(vectors)
-    rows = []
-    for v in vectors:
-        rows.append([int(Fraction(x) * den) for x in v])
-    return rows, den
+    Entries may be ints or Fractions; den is their least common
+    denominator, and no Fraction is created on the way.
+    """
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (den // x.denominator) for x in v]
+            for v in vectors], den
 
 
 def same_row_lattice(gens_a, gens_b):
@@ -207,9 +201,8 @@ def same_row_lattice(gens_a, gens_b):
     if not gens_a or not gens_b:
         raise RankDeficient("empty generator list")
     ncols = len(gens_a[0])
-    den = common_denominator(list(gens_a) + list(gens_b))
-    rows_a, _ = scaled_integer_rows(gens_a, den)
-    rows_b, _ = scaled_integer_rows(gens_b, den)
+    rows, _ = scaled_integer_rows(list(gens_a) + list(gens_b))
+    rows_a, rows_b = rows[:len(gens_a)], rows[len(gens_a):]
     ha = hnf(rows_a, ncols)
     hb = hnf(rows_b, ncols)
     if len(ha) < ncols or len(hb) < ncols:
@@ -304,23 +297,37 @@ def smith_with_left(mat):
     return diag, u, uinv
 
 
-def invert_fraction(mat):
-    """Exact inverse of a nonsingular matrix with int/Fraction entries."""
+def adjugate(mat):
+    """(rows, d) for a nonsingular integer matrix: d = |det mat| and
+    rows = d * mat^-1, an integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [mat | I].  Every
+    intermediate entry is a minor of the augmented matrix, so each division
+    is exact; at the end the left block is p * I and the right block
+    p * mat^-1, where p = +-det.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+    a = [list(row) + [1 if j == i else 0 for j in range(n)]
+         for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             raise RankDeficient("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        inv[c] = [x / f for x in inv[c]]
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
         for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-    return inv
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    s = 1 if prev > 0 else -1
+    return [[s * x for x in row[n:]] for row in a], s * prev
+
+
+def invert_fraction(mat):
+    """Exact inverse of a nonsingular matrix with int/Fraction entries."""
+    rows, den = scaled_integer_rows(mat)
+    adj, det = adjugate(rows)
+    return [[Fraction(den * x, det) for x in row] for row in adj]

@@ -4,205 +4,124 @@ Given an integer Gram matrix G, a coset representative rep = r/q and a
 rational target norm m = mn/md, enumerate every integer offset x such that
 (x + rep)' G (x + rep) == m.  Float arithmetic (an LDL decomposition of G)
 only prunes the search tree; every surviving candidate is confirmed with an
-exact integer identity, so the output is exact as long as the int64 range
-is not exceeded.  The caller checks that range in advance and reroutes to
-a big-integer fallback when needed (never at the scales this package
-targets, but the guard is cheap).
-
-The same loop is compiled with numba when available; set VOAPLUS_JIT=0 to
-force the plain-Python path.  ``bench/bench_shortvec.py`` compares the two.
+exact integer identity on Python ints, which are unbounded, so the output
+is exact whatever the size of the entries.
 """
 
 import math
-import os
 
-import numpy as np
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
-
-
-def jit_enabled():
-    return HAVE_NUMBA and os.environ.get("VOAPLUS_JIT", "1") != "0"
+from .intmat import scaled_integer_rows
 
 
 def ldl_decompose(gram):
     """Float LDL data for the pruning recursion.
 
-    Returns (d, u) with norm(v) = sum_i d[i] * (v[i] + sum_{j>i} u[i,j]v[j])^2.
+    Returns lists (d, u) with
+    norm(v) = sum_i d[i] * (v[i] + sum_{j>i} u[i][j] v[j])^2.
     """
-    n = gram.shape[0]
-    q = gram.astype(np.float64).copy()
+    n = len(gram)
+    q = [[float(x) for x in row] for row in gram]
     for i in range(n - 1):
         for j in range(i + 1, n):
-            q[j, i] = q[i, j]
-            q[i, j] = q[i, j] / q[i, i]
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
         for k in range(i + 1, n):
             for l in range(k, n):
-                q[k, l] -= q[k, i] * q[i, l]
-    d = np.array([q[i, i] for i in range(n)])
-    u = np.triu(q, 1)
-    for i in range(n):
-        u[i, i] = 0.0
+                q[k][l] -= q[k][i] * q[i][l]
+    d = [q[i][i] for i in range(n)]
+    u = [[q[i][j] if j > i else 0.0 for j in range(n)] for i in range(n)]
     return d, u
 
 
-def _enum_core(gram, dd, uu, repf, rnum, q, mnum, mden, mfloat):
+def _enumerate(gram, q, rnum, mnum, mden):
     """Depth-first fixed-norm enumeration; see module docstring.
 
-    Levels run n-1 .. 0; at each level the float budget bounds the integer
-    coordinate range, and complete assignments are kept only if the exact
-    integer norm identity holds.
+    Levels run n-1 .. 0.  At each level the float budget left over from the
+    levels above bounds the integer coordinate range (with slack eps).  A
+    child whose budget is already below -eps, or whose range is empty, is
+    not entered: the budget only shrinks on the way down, so its subtree
+    holds no candidate.  Next to the floats each call carries, exactly, the
+    norm of the scaled tail y_j = q x_j + r_j (j above the level), so a
+    complete assignment is kept only if y' G y * md == mn * q^2 holds in
+    integers.
     """
-    n = gram.shape[0]
-    eps = 1e-6 * (mfloat + 1.0)
-    x = np.zeros(n, np.int64)
-    hi = np.zeros(n, np.int64)
-    v = np.zeros(n, np.float64)
-    budget = np.zeros(n, np.float64)
-    cen = np.zeros(n, np.float64)
-
-    cap = 64
-    out = np.empty((cap, n), np.int64)
-    cnt = 0
-
-    lvl = n - 1
-    budget[lvl] = mfloat + eps
-    cen[lvl] = 0.0
-    rad = math.sqrt(max(budget[lvl], 0.0) / dd[lvl])
-    ctr = cen[lvl] + repf[lvl]
-    x[lvl] = np.int64(math.ceil(-ctr - rad - eps))
-    hi[lvl] = np.int64(math.floor(-ctr + rad + eps))
-
-    while True:
-        if x[lvl] > hi[lvl]:
-            lvl += 1
-            if lvl >= n:
-                break
-            x[lvl] += 1
-            continue
-        v[lvl] = repf[lvl] + x[lvl]
-        w = v[lvl] + cen[lvl]
-        t = budget[lvl] - dd[lvl] * w * w
-        if lvl == 0:
-            if t > -eps:
-                # exact check: (q*x + r)' G (q*x + r) * md == mn * q^2
-                s = np.int64(0)
-                for i in range(n):
-                    yi = q * x[i] + rnum[i]
-                    row = np.int64(0)
-                    for j in range(n):
-                        row += gram[i, j] * (q * x[j] + rnum[j])
-                    s += yi * row
-                if s * mden == mnum * q * q:
-                    if cnt == cap:
-                        cap *= 2
-                        grown = np.empty((cap, n), np.int64)
-                        grown[:cnt] = out[:cnt]
-                        out = grown
-                    out[cnt] = x
-                    cnt += 1
-            x[0] += 1
-        else:
-            lvl -= 1
-            budget[lvl] = t
-            c = 0.0
-            for j in range(lvl + 1, n):
-                c += uu[lvl, j] * v[j]
-            cen[lvl] = c
-            rad = math.sqrt(max(t, 0.0) / dd[lvl])
-            ctr = c + repf[lvl]
-            x[lvl] = np.int64(math.ceil(-ctr - rad - eps))
-            hi[lvl] = np.int64(math.floor(-ctr + rad + eps))
-    return out[:cnt]
-
-
-if HAVE_NUMBA:
-    _enum_core_jit = njit(cache=True)(_enum_core)
-
-
-def _enum_bigint(gram_rows, rep, q, rnum, mnum, mden, dd, uu):
-    """Arbitrary-precision variant used when int64 could overflow."""
-    n = len(gram_rows)
+    n = len(gram)
+    d, u = ldl_decompose(gram)
+    repf = [r / q for r in rnum]
     mfloat = float(mnum) / float(mden)
     eps = 1e-6 * (mfloat + 1.0)
-    out = []
+    target = mnum * q * q
     x = [0] * n
+    y = [0] * n
+    v = [0.0] * n
+    out = []
 
-    def descend(lvl, t, vtail):
-        if t < -eps:
+    def descend(lvl, budget, c, lo, hi, exact):
+        # c: float centre of this level; [lo, hi]: its nonempty range;
+        # exact: y' G y over the coordinates above this level
+        dl = d[lvl]
+        rf = repf[lvl]
+        rl = rnum[lvl]
+        gl = gram[lvl]
+        gll = gl[lvl]
+        twice = 0
+        if lvl == 0:
+            for j in range(1, n):
+                twice += gl[j] * y[j]
+            twice *= 2
+            for xi in range(lo, hi + 1):
+                w = rf + xi + c
+                if budget - dl * w * w > -eps:
+                    yi = q * xi + rl
+                    if (exact + yi * (gll * yi + twice)) * mden == target:
+                        x[0] = xi
+                        out.append(tuple(x))
             return
-        if lvl < 0:
-            s = 0
-            for i in range(n):
-                yi = q * x[i] + rnum[i]
-                row = 0
-                for j in range(n):
-                    row += gram_rows[i][j] * (q * x[j] + rnum[j])
-                s += yi * row
-            if s * mden == mnum * q * q:
-                out.append(tuple(x))
-            return
-        c = sum(uu[lvl][j] * vtail[j] for j in range(lvl + 1, n))
-        rad = math.sqrt(max(t, 0.0) / dd[lvl])
-        ctr = c + float(rep[lvl])
-        lo = math.ceil(-ctr - rad - eps)
-        hi = math.floor(-ctr + rad + eps)
+        k = lvl - 1
+        uk = u[k]
+        ukl = uk[lvl]
+        dk = d[k]
+        rk = repf[k]
+        base = 0.0
+        for j in range(lvl + 1, n):
+            twice += gl[j] * y[j]
+            base += uk[j] * v[j]
+        twice *= 2
         for xi in range(lo, hi + 1):
+            vl = rf + xi
+            w = vl + c
+            t = budget - dl * w * w
+            if t <= -eps:
+                continue
+            ck = base + ukl * vl
+            rad = math.sqrt(max(t, 0.0) / dk)
+            ctr = ck + rk
+            klo = math.ceil(-ctr - rad - eps)
+            khi = math.floor(-ctr + rad + eps)
+            if klo > khi:
+                continue
             x[lvl] = xi
-            vl = float(rep[lvl]) + xi
-            vtail[lvl] = vl
-            descend(lvl - 1, t - dd[lvl] * (vl + c) ** 2, vtail)
+            v[lvl] = vl
+            yi = q * xi + rl
+            y[lvl] = yi
+            descend(k, t, ck, klo, khi, exact + yi * (gll * yi + twice))
 
-    descend(n - 1, mfloat + eps, [0.0] * n)
-    return sorted(out)
-
-
-def _int64_safe(gram_rows, rep, q, rnum, mnum, mden, ginv_diag):
-    """Conservative check that the exact leaf identity fits in int64."""
-    n = len(gram_rows)
-    gmax = max(abs(e) for row in gram_rows for e in row) or 1
-    mf = float(mnum) / float(mden) if mden else 0.0
-    vmax = max(math.sqrt(max(mf, 0.0) * float(g)) for g in ginv_diag) + 2.0
-    xmax = vmax + max(abs(float(r)) for r in rep) + 2.0
-    ymax = q * xmax + max(abs(r) for r in rnum) + q
-    worst = mden * gmax * (n * ymax) ** 2
-    return worst < 2.0 ** 62 and abs(mnum) * q * q < 2 ** 62
+    top = n - 1
+    budget = mfloat + eps
+    rad = math.sqrt(max(budget, 0.0) / d[top])
+    lo = math.ceil(-repf[top] - rad - eps)
+    hi = math.floor(-repf[top] + rad + eps)
+    if lo <= hi:
+        descend(top, budget, 0.0, lo, hi, 0)
+    out.sort()
+    return out
 
 
-def enumerate_offsets(gram_rows, rep, m, ginv_diag, jit=None):
+def enumerate_offsets(gram_rows, rep, m):
     """All integer offsets x with (x + rep)' G (x + rep) == m, sorted lex.
 
-    gram_rows: integer Gram rows; rep: Fraction coordinates; m: Fraction.
-    ginv_diag: diagonal of the inverse Gram (floats ok) for the box guard.
+    gram_rows: integer Gram rows; rep: rational coordinates (int or
+    Fraction); m: rational norm (int or Fraction).
     """
-    n = len(gram_rows)
-    q = 1
-    for c in rep:
-        q = q * c.denominator // math.gcd(q, c.denominator)
-    rnum = [int(c * q) for c in rep]
-    mnum, mden = m.numerator, m.denominator
-
-    if not _int64_safe(gram_rows, rep, q, rnum, mnum, mden, ginv_diag):
-        gram = [list(map(int, row)) for row in gram_rows]
-        dd, uu = ldl_decompose(np.array(gram, dtype=np.float64))
-        return _enum_bigint(gram, rep, q, rnum, mnum, mden,
-                            dd.tolist(), uu.tolist())
-
-    gram = np.array(gram_rows, dtype=np.int64)
-    dd, uu = ldl_decompose(gram)
-    repf = np.array([float(c) for c in rep], dtype=np.float64)
-    rarr = np.array(rnum, dtype=np.int64)
-    mfloat = float(mnum) / float(mden)
-
-    use_jit = jit_enabled() if jit is None else (jit and HAVE_NUMBA)
-    core = _enum_core_jit if use_jit else _enum_core
-    found = core(gram, dd, uu, repf, rarr, np.int64(q),
-                 np.int64(mnum), np.int64(mden), mfloat)
-    if found.shape[0] == 0:
-        return []
-    order = np.lexsort(found[:, ::-1].T)
-    return [tuple(int(c) for c in found[i]) for i in order]
+    (rnum,), q = scaled_integer_rows([rep])
+    return _enumerate(gram_rows, q, rnum, m.numerator, m.denominator)

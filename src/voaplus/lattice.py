@@ -93,7 +93,17 @@ class Lattice:
     @cached_property
     def dual_gram(self):
         """Gram matrix of the dual basis: the exact inverse of gram."""
-        return tuple(tuple(r) for r in intmat.invert_fraction(self._gram))
+        rows, den = self._dual_scaled
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+    @cached_property
+    def _dual_scaled(self):
+        """(rows, det): the dual Gram matrix as integer rows over det."""
+        return intmat.adjugate(self._gram)
+
+    def gram_times(self, y):
+        """G y for an integer vector y."""
+        return [intmat.dot(row, y) for row in self._gram]
 
     def inner(self, u, v):
         g = self._gram
@@ -103,17 +113,6 @@ class Lattice:
 
     def norm(self, v):
         return self.inner(v, v)
-
-    def gram_times(self, v):
-        g = self._gram
-        return tuple(sum(g[i][j] * Fraction(v[j]) for j in range(self._rank))
-                     for i in range(self._rank))
-
-    def in_lattice(self, v):
-        return all(Fraction(x).denominator == 1 for x in v)
-
-    def in_dual(self, v):
-        return all(x.denominator == 1 for x in self.gram_times(v))
 
     @cached_property
     def discriminant(self):
@@ -125,7 +124,7 @@ class Lattice:
 
     @cached_property
     def root_count(self):
-        return len(vectors_of_norm(self, None, 2))
+        return count_norm(self, None, 2)
 
     @cached_property
     def is_2_elementary(self):
@@ -136,15 +135,10 @@ class Lattice:
         """True when both the lattice and its sqrt2-rescaled dual are even."""
         if not self.is_even:
             return False
-        dg = self.dual_gram
-        n = self._rank
-        for i in range(n):
-            if dg[i][i].denominator != 1:
-                return False
-            for j in range(i + 1, n):
-                if (2 * dg[i][j]).denominator != 1:
-                    return False
-        return True
+        rows, den = self._dual_scaled
+        return all(rows[i][i] % den == 0
+                   and all(2 * x % den == 0 for x in rows[i])
+                   for i in range(self._rank))
 
 
 class DiscriminantGroup:
@@ -170,21 +164,22 @@ class DiscriminantGroup:
         return p
 
     def element_of(self, vec):
-        """Group element (a_i mod d_i) of a dual vector."""
-        gv = self.lattice.gram_times(vec)
-        if any(x.denominator != 1 for x in gv):
+        """Group element (a_i mod d_i) of a dual vector (ints or Fractions)."""
+        (y,), q = intmat.scaled_integer_rows([vec])
+        gy = self.lattice.gram_times(y)
+        if any(x % q for x in gy):
             raise NotDualVector("vector is not in the dual lattice")
-        y = [int(x) for x in gv]
-        n = self.lattice.rank
-        return tuple(
-            sum(self._u[i][j] * y[j] for j in range(n)) % self.invariant_factors[i]
-            for i in range(n))
+        return self.element_of_image([x // q for x in gy])
+
+    def element_of_image(self, gv):
+        """Group element of the dual vector v, given the integer vector G v."""
+        return tuple(intmat.dot(row, gv) % d
+                     for row, d in zip(self._u, self.invariant_factors))
 
     def rep_of_element(self, a):
-        n = self.lattice.rank
-        y = [sum(self._uinv[i][j] * a[j] for j in range(n)) for i in range(n)]
-        dg = self.lattice.dual_gram
-        return tuple(sum(dg[i][j] * y[j] for j in range(n)) for i in range(n))
+        y = [intmat.dot(row, a) for row in self._uinv]
+        rows, den = self.lattice._dual_scaled
+        return tuple(Fraction(intmat.dot(row, y), den) for row in rows)
 
     def coset_of_element(self, a):
         d = self.invariant_factors
@@ -225,9 +220,23 @@ def canonicalize_coset(lat, vec):
 
 @lru_cache(maxsize=None)
 def _cached_offsets(lat, rep, m):
-    ginv_diag = [float(lat.dual_gram[i][i]) for i in range(lat.rank)]
-    return tuple(kernels.enumerate_offsets(
-        [list(r) for r in lat.gram], list(rep), m, ginv_diag))
+    return tuple(kernels.enumerate_offsets(lat.gram, rep, m))
+
+
+def _offsets(lat, coset, m):
+    """(rep, offsets) of the vectors of norm m in the coset (None: L)."""
+    m = Fraction(m)
+    if m < 0:
+        raise NormNegative("norm target must be >= 0")
+    rep = coset.rep if coset is not None else (0,) * lat.rank
+    return rep, _cached_offsets(lat, rep, m)
+
+
+def scaled_vectors_of_norm(lat, coset, m):
+    """vectors_of_norm as (q, integer rows): each vector is a row over q."""
+    rep, offsets = _offsets(lat, coset, m)
+    (rnum,), q = intmat.scaled_integer_rows([rep])
+    return q, [tuple(q * x + r for x, r in zip(off, rnum)) for off in offsets]
 
 
 def vectors_of_norm(lat, coset, m):
@@ -236,17 +245,12 @@ def vectors_of_norm(lat, coset, m):
     ``coset`` may be a Coset or None for the lattice itself.  Enumeration is
     float-pruned but every returned vector passed an exact norm identity.
     """
-    m = Fraction(m)
-    if m < 0:
-        raise NormNegative("norm target must be >= 0")
-    rep = coset.rep if coset is not None else tuple([Fraction(0)] * lat.rank)
-    rep = _as_fraction_tuple(rep)
-    offsets = _cached_offsets(lat, rep, m)
-    return [tuple(Fraction(x) + r for x, r in zip(off, rep)) for off in offsets]
+    q, rows = scaled_vectors_of_norm(lat, coset, m)
+    return [tuple(Fraction(y, q) for y in row) for row in rows]
 
 
 def count_norm(lat, coset, m):
-    return len(vectors_of_norm(lat, coset, m))
+    return len(_offsets(lat, coset, m)[1])
 
 
 def orthogonal_group_order(lat, bound=None):
@@ -262,10 +266,7 @@ def orthogonal_group_order(lat, bound=None):
     if n > bound:
         raise RankBoundExceeded(
             "rank %d exceeds the isometry search bound %d" % (n, bound))
-    cands = []
-    for i in range(n):
-        vs = vectors_of_norm(lat, None, lat.gram[i][i])
-        cands.append([tuple(int(c) for c in v) for v in vs])
+    cands = [_offsets(lat, None, lat.gram[i][i])[1] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     g = lat.gram
 
@@ -275,7 +276,7 @@ def orthogonal_group_order(lat, bound=None):
         key = (u, v)
         got = inner.get(key)
         if got is None:
-            got = sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+            got = intmat.dot(u, lat.gram_times(v))
             inner[key] = got
         return got
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constrb import FrameCosets, decompose, frame_cosets
-from .errors import NotOdd, NotUnimodular, RankBoundExceeded
+from .errors import (NotOdd, NotUnimodular, RankBoundExceeded,
+                     SplitCheckFailed)
 from .lattice import (Coset, Lattice, canonicalize_coset,
                       orthogonal_group_order, require_even, sublattice_gram)
 from .orbit import FusionSpace, OrbitReport, fusion_space, module_orbit
@@ -60,6 +61,22 @@ class AutReport:
         return self.orbit.cond_c
 
 
+def _isometry_order(lat, bound):
+    """|O(L)|, or None above the isometry-search rank bound."""
+    try:
+        return orthogonal_group_order(lat, bound)
+    except RankBoundExceeded:
+        return None
+
+
+def _stabilizer_from_isometry(lat, isometry):
+    if lat.root_count > 0:
+        return None, "roots present"
+    if isometry is None:
+        return None, "rank bound"
+    return 2 ** (lat.rank - 1) * isometry, None
+
+
 def stabilizer_order(lat, bound=None):
     """Order of the distinguished-class stabilizer, or (None, reason).
 
@@ -67,13 +84,9 @@ def stabilizer_order(lat, bound=None):
     bound, else (None, "roots present" | "rank bound").
     """
     require_even(lat)
-    if lat.root_count > 0:
-        return None, "roots present"
-    try:
-        o = orthogonal_group_order(lat, bound)
-    except RankBoundExceeded:
-        return None, "rank bound"
-    return 2 ** (lat.rank - 1) * o, None
+    # with roots no order is claimed, so the search is skipped
+    isometry = None if lat.root_count else _isometry_order(lat, bound)
+    return _stabilizer_from_isometry(lat, isometry)
 
 
 def aut_order(lat, bound=None):
@@ -93,11 +106,8 @@ def analyze(lat, bound=None):
     fusion = None
     if not (orbit.cond_a or orbit.cond_b or orbit.cond_c):
         fusion = fusion_space(lat, orbit)
-    try:
-        isometry = orthogonal_group_order(lat, bound)
-    except RankBoundExceeded:
-        isometry = None
-    h, reason = stabilizer_order(lat, bound)
+    isometry = _isometry_order(lat, bound)
+    h, reason = _stabilizer_from_isometry(lat, isometry)
     notes = [NOTE_TWISTED]
     if h is not None:
         notes.append(NOTE_STABILIZER)
@@ -200,13 +210,19 @@ def odd_split(lat, bound=None):
     """
     sub, basis, alpha = even_sublattice(lat)
     n = lat.rank
-    assert sub.is_even
-    assert abs(intmat.det_bareiss([list(r) for r in basis])) == 2
+    if not sub.is_even:
+        raise SplitCheckFailed("the even part is odd")
+    if abs(intmat.det_bareiss([list(r) for r in basis])) != 2:
+        raise SplitCheckFailed("the even part does not have index 2")
     for i in range(n):
         doubled = [2 if j == i else 0 for j in range(n)]
-        assert intmat.solve_integral([list(r) for r in basis], doubled) is not None
+        if intmat.solve_integral([list(r) for r in basis], doubled) is None:
+            raise SplitCheckFailed("twice basis vector %d is not in the "
+                                   "even part" % i)
     alpha_norm = lat.norm(alpha)
-    assert alpha_norm.denominator == 1 and int(alpha_norm) % 2 == 1
+    if alpha_norm.denominator != 1 or int(alpha_norm) % 2 != 1:
+        raise SplitCheckFailed("the odd representative has norm %s"
+                               % alpha_norm)
 
     binv = intmat.invert_fraction([list(r) for r in basis])
     alpha_sub = tuple(sum(Fraction(alpha[j]) * binv[j][i] for j in range(n))

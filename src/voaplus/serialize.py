@@ -11,8 +11,7 @@ SCHEMA_VERSION = 1
 
 
 def frac_str(x):
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def vec_json(vec):

@@ -1,15 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-import voaplus  # noqa: E402
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel():
-    # warm the enumeration kernel once (it is compiled only when numba is
-    # installed) so timed tests measure the algorithm, not the warm-up
-    voaplus.count_norm(voaplus.make_lattice([[2]]), None, 2)

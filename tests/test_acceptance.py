@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or via the CLI command
-``voaplus selftest`` for the data-driven catalog subset).  Time limits are
-asserted with the enumeration kernel already warm (see conftest), so they
-measure the algorithms rather than JIT latency.
+``voaplus selftest`` for the data-driven catalog subset).  The enumeration
+kernel is plain Python with no warm-up, so time limits measure the
+algorithms alone.
 """
 
 import time

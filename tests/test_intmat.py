@@ -127,6 +127,12 @@ def test_invert_fraction_roundtrip():
         seen += 1
         inv = intmat.invert_fraction(m)
         assert intmat.mat_mul(m, inv) == intmat.identity(n)
+        adj, d = intmat.adjugate(m)
+        assert d == abs(intmat.det_bareiss(m))
+        assert intmat.mat_mul(m, adj) == [[d * x for x in row]
+                                          for row in intmat.identity(n)]
+    with pytest.raises(RankDeficient):
+        intmat.adjugate([[1, 2], [2, 4]])
 
 
 def test_same_row_lattice_relations():

@@ -1,8 +1,6 @@
-import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from helpers import naive_isometry_order, naive_vectors_of_norm, random_posdef_gram
@@ -11,7 +9,7 @@ from voaplus import (canonicalize_coset, direct_sum, make_lattice,
                      vectors_of_norm)
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
                             NotSymmetric, RankBoundExceeded)
-from voaplus.kernels import _enum_bigint, enumerate_offsets, ldl_decompose
+from voaplus.kernels import enumerate_offsets
 
 
 def test_make_lattice_examples():
@@ -134,23 +132,14 @@ def test_enumeration_backends_agree():
     lat = parse_spec("sqrt2*A3")
     coset = lat.discriminant.torsion2_reps[-1]
     rep = coset.rep
-    gram = [list(r) for r in lat.gram]
-    ginv = [float(lat.dual_gram[i][i]) for i in range(lat.rank)]
-    q = math.lcm(*(c.denominator for c in rep))
-    rnum = [int(c * q) for c in rep]
-    d, u = ldl_decompose(np.array(gram, dtype=np.float64))
     found = 0
     # norm 2 is empty in this coset; norms 1 and 3 are not
     for m in (Fraction(2), Fraction(1), Fraction(3)):
-        jit = enumerate_offsets(gram, list(rep), m, ginv, jit=True)
-        plain = enumerate_offsets(gram, list(rep), m, ginv, jit=False)
-        assert jit == plain
-        # the big-integer loop is a separate implementation, so this
-        # compares two backends even where numba is not installed
-        bigint = _enum_bigint(gram, list(rep), q, rnum, m.numerator,
-                              m.denominator, d.tolist(), u.tolist())
-        assert bigint == plain
-        found += len(plain)
+        core = [tuple(x + r for x, r in zip(off, rep))
+                for off in enumerate_offsets(lat.gram, rep, m)]
+        assert core == naive_vectors_of_norm(lat.gram, rep, m)
+        assert vectors_of_norm(lat, coset, m) == core
+        found += len(core)
     assert found > 0
 
 

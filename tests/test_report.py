@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,3 +106,38 @@ def test_odd_coset_has_odd_norms():
         assert int(rep.odd_rep_norm) % 2 == 1
         assert vectors_of_norm(rep.even_part, rep.odd_coset, 2) == []
         assert rep.odd_coset_in_orbit is False
+
+
+# Breaks the even split of Z2 on purpose: the even part's basis is doubled,
+# so it has index 8 instead of 2.  Prints the error odd_split raises, the
+# CLI exit code, and whether assert statements are live (__debug__).
+BROKEN_SPLIT = """
+import voaplus.report as report
+from voaplus import cli, make_lattice, odd_split, parse_spec
+from voaplus.errors import InternalCheckError
+from voaplus.lattice import sublattice_gram
+
+real = report.even_sublattice
+
+def index8(lat):
+    sub, basis, alpha = real(lat)
+    basis = tuple(tuple(2 * x for x in row) for row in basis)
+    return make_lattice(sublattice_gram(lat, basis)), basis, alpha
+
+report.even_sublattice = index8
+try:
+    odd_split(parse_spec("Z2"))
+    print("none")
+except InternalCheckError as exc:
+    print(type(exc).__name__)
+print(cli.main(["odd", "Z2"]), __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_odd_split_checks_survive_optimize(flags):
+    done = subprocess.run([sys.executable] + flags + ["-c", BROKEN_SPLIT],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ))
+    assert done.stdout.split() == ["SplitCheckFailed", "4", str(not flags)]
+    assert "internal check failed" in done.stderr
