@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import subprocess
 import sys
@@ -90,5 +89,5 @@ def test_cli_import_leaves_numpy_out():
     script = ("import sys, voaplus.cli; "
               "print('numpy' in sys.modules, 'numba' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, check=True, env=dict(os.environ))
+                          text=True, check=True)
     assert done.stdout.split() == ["False", "False"]

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,7 +136,6 @@ print(cli.main(["odd", "Z2"]), __debug__)
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_odd_split_checks_survive_optimize(flags):
     done = subprocess.run([sys.executable] + flags + ["-c", BROKEN_SPLIT],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ))
+                          capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["SplitCheckFailed", "4", str(not flags)]
     assert "internal check failed" in done.stderr
