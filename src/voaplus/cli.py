@@ -4,8 +4,9 @@ Commands: analyze, shortvec, rl, decompose, orbit, odd, selftest.  The
 positional SPEC is either a constructor expression (see catalog) or a path
 to a JSON document with a "gram" (lattice) or "length"/"generators" (code)
 field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
-assertion failure.  VOAPLUS_RANK_BOUND overrides the isometry-search rank
-bound (default 4).
+assertion failure.  VOAPLUS_RANK_BOUND, a non-negative integer, overrides
+the rank bound of the isometry-group count (default 4); any other value is
+bad input.
 """
 
 import argparse
@@ -28,7 +29,15 @@ from .selftest import run_selftest
 
 def rank_bound():
     raw = os.environ.get("VOAPLUS_RANK_BOUND")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ParseError("VOAPLUS_RANK_BOUND must be a non-negative integer, "
+                     "got %r" % raw)
 
 
 def load_spec(text):

@@ -254,11 +254,15 @@ def count_norm(lat, coset, m):
 
 
 def orthogonal_group_order(lat, bound=None):
-    """Order of the isometry group O(L) by depth-first backtracking.
+    """Order of the isometry group O(L) as a product of orbit lengths.
 
-    Candidate images of basis vector i are the vectors whose norm equals
-    gram[i][i]; partial assignments must reproduce the Gram rows exactly.
-    Refuses ranks above ``bound`` (default 4) since the search is
+    Basis vectors are taken in order o_0, o_1, ... (fewest candidate images
+    first); the candidates for b_i are the vectors of norm gram[i][i].  With
+    H_t the pointwise stabilizer of b_{o_0}, ..., b_{o_{t-1}},
+    |O(L)| = prod_t |H_t b_{o_t}|, and v lies in that orbit iff the images
+    (b_{o_0}, ..., b_{o_{t-1}}, v) extend to a Gram-preserving assignment of
+    the whole basis (an isometry onto L: same Gram matrix, so index 1).
+    Refuses ranks above ``bound`` (default 4): the extension search is
     exponential in principle.
     """
     bound = DEFAULT_RANK_BOUND if bound is None else bound
@@ -269,38 +273,27 @@ def orthogonal_group_order(lat, bound=None):
     cands = [_offsets(lat, None, lat.gram[i][i])[1] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     g = lat.gram
+    gv = {v: lat.gram_times(v) for cs in cands for v in cs}
 
-    inner = {}
+    def narrow(t, v, lists):
+        """lists (for b_{o_{t+1}}, ...) cut to the vectors u with
+        <u, v> = <b_{o_k}, b_{o_t}>, v being the image of b_{o_t}."""
+        w, row = gv[v], g[order[t]]
+        return [[u for u in cs if intmat.dot(u, w) == row[order[k]]]
+                for k, cs in enumerate(lists, t + 1)]
 
-    def pair(u, v):
-        key = (u, v)
-        got = inner.get(key)
-        if got is None:
-            got = intmat.dot(u, lat.gram_times(v))
-            inner[key] = got
-        return got
+    def extends(t, lists):
+        """True at the first full assignment; lists[k] holds the images of
+        b_{o_{t+k}} that fit every image chosen so far."""
+        return not lists or (all(lists) and any(
+            extends(t + 1, narrow(t, v, lists[1:])) for v in lists[0]))
 
-    count = 0
-    chosen = []
-
-    def search(t):
-        nonlocal count
-        if t == n:
-            count += 1
-            return
-        it = order[t]
-        for v in cands[it]:
-            ok = True
-            for s in range(t):
-                if pair(chosen[s], v) != g[order[s]][it]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                search(t + 1)
-                chosen.pop()
-
-    search(0)
+    count = 1
+    lists = [cands[i] for i in order]
+    for t, it in enumerate(order):
+        count *= sum(1 for v in lists[0]
+                     if extends(t + 1, narrow(t, v, lists[1:])))
+        lists = narrow(t, tuple(int(j == it) for j in range(n)), lists[1:])
     return count
 
 

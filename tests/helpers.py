@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive -- box enumeration, brute-force
 products -- so that it shares no code path with the package internals it
-checks.
+checks; the one exception, named in its docstring, is the leaf-counting
+isometry search, which takes its candidate vectors from the package.
 """
 
 import math
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from voaplus import make_code
+from voaplus import make_code, make_lattice, vectors_of_norm
 from voaplus.intmat import det_bareiss, leading_minors_positive
 
 
@@ -54,6 +55,60 @@ def naive_isometry_order(gram, box=8):
                for i in range(n) for j in range(i, n)):
             count += 1
     return count
+
+
+def leaf_count_isometry_order(gram):
+    """|O(L)| by backtracking that counts every isometry as one leaf.
+
+    Candidate images of b_i are the vectors of norm gram[i][i] (from the
+    package's enumeration, itself checked against the box oracle above);
+    a partial assignment must reproduce the Gram rows exactly.  The cost is
+    proportional to |O(L)|, which keeps it to small ranks.
+    """
+    n = len(gram)
+    lat = make_lattice(gram)
+    cands = [[tuple(int(c) for c in v)
+              for v in vectors_of_norm(lat, None, gram[i][i])]
+             for i in range(n)]
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+
+    def inner(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    chosen = []
+
+    def count(t):
+        if t == n:
+            return 1
+        it = order[t]
+        total = 0
+        for v in cands[it]:
+            if all(inner(chosen[s], v) == gram[order[s]][it] for s in range(t)):
+                chosen.append(v)
+                total += count(t + 1)
+                chosen.pop()
+        return total
+
+    return count(0)
+
+
+def random_unimodular_conjugate(rng, gram, steps=6):
+    """U G U' for a random U built from steps +-1 elementary operations.
+
+    Each step adds +-1 times row j to row i (the basis change b_i += +-b_j)
+    and then does the same to the columns, so the result is the Gram matrix
+    of the same lattice in another basis.
+    """
+    g = [list(r) for r in gram]
+    n = len(g)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for k in range(n):
+            g[i][k] += s * g[j][k]
+        for k in range(n):
+            g[k][i] += s * g[k][j]
+    return g
 
 
 def random_posdef_gram(rng, n, lo=-4, hi=8, even=False):

@@ -158,6 +158,10 @@ def test_cli_rank_bound_env(monkeypatch, capsys):
     assert main(["analyze", "sqrt2*A3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stabilizer_order"] == 192
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("VOAPLUS_RANK_BOUND", bad)
+        assert main(["analyze", "A1"]) == 2
+        assert "VOAPLUS_RANK_BOUND" in capsys.readouterr().err
 
 
 def test_cli_selftest_small(monkeypatch, capsys):

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import naive_isometry_order, naive_vectors_of_norm, random_posdef_gram
+from helpers import (leaf_count_isometry_order, naive_isometry_order,
+                     naive_vectors_of_norm, random_posdef_gram,
+                     random_unimodular_conjugate)
 from voaplus import (canonicalize_coset, direct_sum, make_lattice,
                      orthogonal_group_order, parse_spec, rescale, same_lattice,
                      vectors_of_norm)
@@ -184,6 +187,41 @@ def test_isometry_order_is_even_and_bounded():
         assert orthogonal_group_order(make_lattice(g)) % 2 == 0
     with pytest.raises(RankBoundExceeded):
         orthogonal_group_order(parse_spec("E8"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+def test_isometry_order_matches_leaf_count(seed, n):
+    g = random_posdef_gram(random.Random(seed), n)
+    assume(g is not None)
+    got = orthogonal_group_order(make_lattice(g))
+    assert got == leaf_count_isometry_order(g)
+    if n <= 3:
+        assert got == naive_isometry_order(g)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("D4", 1152), ("sqrt2*A3", 48), ("sqrt2*D5", 3840)])
+def test_isometry_order_invariant_under_basis_change(spec, order):
+    gram = parse_spec(spec).gram
+    rng = random.Random(spec)
+    for _ in range(4):
+        lat = make_lattice(random_unimodular_conjugate(rng, gram))
+        assert orthogonal_group_order(lat, bound=lat.rank) == order
+
+
+@pytest.mark.parametrize("spec, order", [
+    # |O(D5)| = 2^5 5!, |O(A_n)| = 2 (n+1)! for n >= 2, |O(D4)| = 192 * 3!
+    ("sqrt2*D5", 2 ** 5 * 120),
+    ("sqrt2*A5", 2 * 720),
+    ("sqrt2*A6", 2 * 5040),
+    ("sqrt2*(A3+A3)", (2 * 24) ** 2 * 2),
+    ("sqrt2*(D4+A1)", 1152 * 2),
+    ("E8", 696729600),  # |W(E8)|
+])
+def test_isometry_order_closed_forms(spec, order):
+    lat = parse_spec(spec)
+    assert orthogonal_group_order(lat, bound=lat.rank) == order
 
 
 def test_same_lattice_examples():

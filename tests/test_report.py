@@ -43,6 +43,14 @@ def test_analyze_consistency():
         assert rep.notes
 
 
+def test_sqrt2_e8_aut_order_is_o_plus_10_2():
+    # 2^7 |W(E8)| 527 = |O+(10, 2)|, with the isometry count at rank 8
+    rep = analyze(parse_spec("sqrt2*E8"), 8)
+    assert rep.isometry_order == 696729600
+    assert rep.orbit_size == 527
+    assert rep.aut_order == 46998591897600
+
+
 def test_analyze_requires_even():
     with pytest.raises(NotEven):
         analyze(make_lattice([[1]]))
