@@ -46,7 +46,8 @@ def _tokenize(text):
         if m.group("word"):
             tokens.append(("word", m.group("word"), m.start("word")))
         elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            # kept as written: a code word keeps its leading zeros
+            tokens.append(("int", m.group("int"), m.start("int")))
         else:
             tokens.append(("sym", m.group("sym"), m.start("sym")))
         pos = m.end()
@@ -172,9 +173,10 @@ class _Parser:
                     raise ParseError("scaling needs a lattice", position=pos)
                 if kind == "word":
                     return rescale(inner, 2)
-                if val <= 0:
+                k = int(val)
+                if k <= 0:
                     raise ParseError("scale factor must be positive", position=pos)
-                return rescale(inner, val * val)
+                return rescale(inner, k * k)
         return self.factor()
 
     def factor(self):
@@ -221,7 +223,7 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected an integer", position=pos)
         self.expect_sym(")")
-        return val
+        return int(val)
 
     def matrix_literal(self):
         self.expect_sym("[")
@@ -233,7 +235,7 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "int":
                     raise ParseError("expected an integer entry", position=pos)
-                row.append(val)
+                row.append(int(val))
                 kind, val, pos = self.next()
                 if kind == "sym" and val == ",":
                     continue
@@ -261,12 +263,10 @@ class _Parser:
             if kind != "sym" or val != ",":
                 raise ParseError("expected ',' or ')'", position=pos)
             kind, val, pos = self.next()
-            if kind == "int":
-                val = str(val)
-            if not isinstance(val, str) or set(val) - {"0", "1"}:
+            if kind != "int" or set(val) - {"0", "1"}:
                 raise ParseError("expected a 0/1 word", position=pos)
-            gens.append(val.zfill(n) if len(val) < n else val)
-        return make_code(n, gens)
+            gens.append(val)
+        return make_code(int(n), gens)
 
 
 def parse_spec(text):
@@ -277,10 +277,20 @@ def parse_spec(text):
 def lattice_from_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError("input file must hold a JSON object")
     if "gram" in doc:
-        return make_lattice(doc["gram"])
+        gram = doc["gram"]
+        if not (isinstance(gram, list)
+                and all(isinstance(row, list) for row in gram)):
+            raise ParseError("'gram' must be a list of integer lists")
+        return make_lattice(gram)
     if "length" in doc:
-        return make_code(int(doc["length"]), list(doc.get("generators", [])))
+        length, gens = doc["length"], doc.get("generators", [])
+        if not (isinstance(length, int) and isinstance(gens, list)):
+            raise ParseError("'length' must be an integer and 'generators' "
+                             "a list")
+        return make_code(length, gens)
     raise ParseError("input file needs a 'gram' or 'length' field")
 
 
@@ -385,7 +395,3 @@ def catalog_entry(name):
         if entry.name == name:
             return entry
     raise UnknownName("no catalog entry named %r" % name)
-
-
-def even_lattice_entries():
-    return [e for e in CATALOG if e.kind == "lattice"]

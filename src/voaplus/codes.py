@@ -4,7 +4,8 @@ Codewords are bit-packed integers: coordinate 1 is bit 0, so the file
 format string "110..." sets bits 0 and 1.  The canonical basis is the
 reduced row-echelon form over F_2, which makes code equality basis
 equality.  Lengths stay small (16 in every case that matters, 20 with
-headroom), so weight questions are settled by enumerating all 2^k words.
+headroom), so weight distributions are settled by enumerating all 2^k
+words.
 """
 
 from dataclasses import dataclass
@@ -91,17 +92,14 @@ class BinaryCode:
     def is_doubly_even(self):
         """Every codeword weight divisible by 4.
 
-        Settled by enumeration up to dimension 20; above that by the basis
-        criterion (basis weights divisible by 4, pairwise intersections
-        even), which is equivalent for linear codes.
+        Basis criterion, equivalent for linear codes because
+        wt(a ^ b) = wt(a) + wt(b) - 2 wt(a & b): every basis weight is
+        divisible by 4 and every pairwise intersection is even.
         """
-        if self.dimension <= ENUM_DIM_LIMIT:
-            return all(w % 4 == 0 for w in self.weight_distribution)
-        if any(b.bit_count() % 4 for b in self.basis):
-            return False
-        return all((a & b).bit_count() % 2 == 0
-                   for i, a in enumerate(self.basis)
-                   for b in self.basis[i + 1:])
+        return (all(b.bit_count() % 4 == 0 for b in self.basis)
+                and all((a & b).bit_count() % 2 == 0
+                        for i, a in enumerate(self.basis)
+                        for b in self.basis[i + 1:]))
 
     def word_string(self, w):
         return "".join("1" if (w >> i) & 1 else "0" for i in range(self.length))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intmat
-from .codes import BinaryCode, make_code
+from .codes import BinaryCode, _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
 from .lattice import (Coset, Lattice, count_norm, require_even,
@@ -175,45 +175,24 @@ def extract_frame(lat, coset):
 def _lexmin_f2_solution(equations, nvars):
     """Lexicographically smallest 0/1 solution of a linear system over F_2.
 
-    equations: list of (mask, rhs).  Returns the assignment tuple or None.
-    Fix variables left to right, preferring 0, keeping the residual system
-    consistent (checked by elimination).
+    equations: list of (mask, rhs), bit i of mask standing for variable i.
+    Returns the assignment tuple, or None when the system is inconsistent.
+    One reduction: variable i goes to bit nvars-1-i and the right-hand side
+    to bit nvars, so each reduced row pivots on its highest-numbered
+    variable and otherwise holds only free, lower-numbered ones.  A row
+    whose pivot is the right-hand side bit reads 0 = 1; otherwise setting
+    every free variable to 0 gives the smallest solution.
     """
-
-    def consistent(eqs):
-        rows = list(eqs)
-        pivots = []
-        for mask, rhs in rows:
-            for pmask, prhs in pivots:
-                if mask & (pmask & -pmask):
-                    mask ^= pmask
-                    rhs ^= prhs
-            if mask == 0:
-                if rhs:
-                    return False
-            else:
-                pivots.append((mask, rhs))
-        return True
-
-    eqs = [(m, r) for m, r in equations]
-    if not consistent(eqs):
-        return None
-    assign = []
-    for i in range(nvars):
-        bit = 1 << i
-        for val in (0, 1):
-            trial = []
-            for mask, rhs in eqs:
-                if mask & bit:
-                    trial.append((mask & ~bit, rhs ^ val))
-                else:
-                    trial.append((mask, rhs))
-            if consistent(trial):
-                assign.append(val)
-                eqs = trial
-                break
-        else:
+    n = nvars
+    words = [rhs << n | sum(1 << (n - 1 - i)
+                            for i in range(n) if mask >> i & 1)
+             for mask, rhs in equations]
+    assign = [0] * n
+    for row in _rref(words):
+        pivot = (row & -row).bit_length() - 1
+        if pivot == n:
             return None
+        assign[n - 1 - pivot] = row >> n & 1
     return tuple(assign)
 
 

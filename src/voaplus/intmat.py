@@ -1,8 +1,8 @@
 """Exact integer and rational matrix routines.
 
-Determinants and adjugates (Bareiss), Hermite and Smith normal forms, left
-kernels and dense Fraction inverses, all over plain Python
-arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
+Determinants and adjugates (Bareiss), Hermite and Smith normal forms and
+dense Fraction inverses, all over plain Python arbitrary-precision
+numbers.  Matrices are lists of row lists.  Sizes in
 this package stay tiny (rank <= 20), so the straightforward algorithms are
 the right ones.
 """
@@ -76,12 +76,11 @@ def leading_minors_positive(mat):
                for k in range(n))
 
 
-def _hnf_inplace(rows, ncols, trans=None):
+def _hnf_inplace(rows, ncols):
     """Row-reduce ``rows`` to Hermite normal form in place.
 
     Pivots positive, entries above each pivot reduced into [0, pivot).
-    Zero rows sink to the bottom.  If ``trans`` is given the same row
-    operations are applied to it.
+    Zero rows sink to the bottom.
     """
     m = len(rows)
     r = 0
@@ -94,8 +93,6 @@ def _hnf_inplace(rows, ncols, trans=None):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        if trans is not None:
-            trans[r], trans[piv] = trans[piv], trans[r]
         for i in range(r + 1, m):
             while rows[i][c] != 0:
                 a, b = rows[r][c], rows[i][c]
@@ -103,9 +100,6 @@ def _hnf_inplace(rows, ncols, trans=None):
                     q = b // a
                     for j in range(ncols):
                         rows[i][j] -= q * rows[r][j]
-                    if trans is not None:
-                        for j in range(len(trans[i])):
-                            trans[i][j] -= q * trans[r][j]
                 else:
                     g, x, y = xgcd(a, b)
                     ag, bg = a // g, b // g
@@ -113,23 +107,13 @@ def _hnf_inplace(rows, ncols, trans=None):
                         ra, ri = rows[r][j], rows[i][j]
                         rows[r][j] = x * ra + y * ri
                         rows[i][j] = -bg * ra + ag * ri
-                    if trans is not None:
-                        for j in range(len(trans[r])):
-                            ta, ti = trans[r][j], trans[i][j]
-                            trans[r][j] = x * ta + y * ti
-                            trans[i][j] = -bg * ta + ag * ti
         if rows[r][c] < 0:
             rows[r] = [-v for v in rows[r]]
-            if trans is not None:
-                trans[r] = [-v for v in trans[r]]
         for i in range(r):
             q = rows[i][c] // rows[r][c]
             if q:
                 for j in range(ncols):
                     rows[i][j] -= q * rows[r][j]
-                if trans is not None:
-                    for j in range(len(trans[i])):
-                        trans[i][j] -= q * trans[r][j]
         r += 1
         if r == m:
             break
@@ -144,20 +128,6 @@ def hnf(rows, ncols=None):
     work = [list(r) for r in rows]
     rank = _hnf_inplace(work, ncols)
     return work[:rank]
-
-
-def hnf_with_transform(rows, ncols):
-    """Return (H, U, rank) with U * rows == H, U unimodular, H in HNF."""
-    work = [list(r) for r in rows]
-    u = identity(len(rows))
-    rank = _hnf_inplace(work, ncols, trans=u)
-    return work, u, rank
-
-
-def left_kernel(rows, ncols):
-    """Basis of {x integer row : x * rows == 0}."""
-    h, u, rank = hnf_with_transform(rows, ncols)
-    return hnf(u[rank:], len(rows))
 
 
 def solve_integral(basis, target):

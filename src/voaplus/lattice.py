@@ -30,10 +30,6 @@ class Coset:
     rep: tuple
     order2: bool
 
-    @property
-    def is_trivial(self):
-        return all(c == 0 for c in self.rep)
-
     def label(self):
         return "(" + ", ".join(str(c) for c in self.rep) + ")"
 
@@ -207,10 +203,6 @@ class DiscriminantGroup:
 def make_lattice(gram):
     """Validate a Gram matrix and wrap it as a Lattice."""
     return Lattice(gram)
-
-
-def dual_and_discriminant(lat):
-    return lat.discriminant
 
 
 def canonicalize_coset(lat, vec):

@@ -8,12 +8,16 @@ individually constructed.  The orbit of [0]^- consists of [0]^- itself,
 both signed classes over every coset meeting the norm-2 bound, and -- only
 when one of the three structural conditions below holds -- all twisted
 classes of one sign.
+
+There are |(L meet 2L*)/2L| twisted classes per sign.  Halving identifies
+that group with the order-<=2 cosets that carry the signed classes:
+|(L meet 2L*)/2L| = #{x in L*/L : 2x = 0} = 2^(number of even invariant
+factors of the Gram matrix).
 """
 
 from dataclasses import dataclass
 
-from . import intmat
-from .codes import rm14_subcode
+from .codes import _rref, rm14_subcode
 from .constrb import FrameCosets, decompose, frame_cosets, structural_cosets
 from .errors import ConditionABC, CrossCheckFailed, NotPowerOfTwo
 from .lattice import Coset, require_even
@@ -70,43 +74,26 @@ class OrbitReport:
 def twisted_character_count(lat):
     """Number of twisted classes per sign: the index |(L meet 2L*)/2L|.
 
-    Computed by exact integer linear algebra: a basis of
-    {v integral : G v == 0 mod 2} via a kernel-and-project HNF, then the
-    index of 2L inside it.
+    v -> v/2 identifies (L meet 2L*)/2L with {x in L*/L : 2x = 0}, and L*/L
+    is the direct sum of the Z/d_i over the invariant factors d_i of the
+    Gram matrix, so |(L meet 2L*)/2L| = #{x in L*/L : 2x = 0} =
+    2^(number of even d_i), the number of order-<=2 cosets.
     """
     require_even(lat)
-    n = lat.rank
-    g = [list(r) for r in lat.gram]
-    # rows (v | w) with v*G + 2w == 0  <=>  v*G == 0 mod 2
-    stacked = g + [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    ker = intmat.left_kernel(stacked, n)
-    proj = intmat.hnf([row[:n] for row in ker], n)
-    det = intmat.det_bareiss(proj)
-    return (2 ** n) // abs(det)
+    return 2 ** sum(1 for d in lat.discriminant.invariant_factors
+                    if d % 2 == 0)
 
 
 def twisted_character_count_mod2(lat):
-    """Cross-check route: 2^(n - rank of G over F_2)."""
+    """Cross-check route: 2^(n - rank of G over F_2).
+
+    (L meet 2L*)/2L is the kernel of G mod 2 on F_2^n, so this counts the
+    same |(L meet 2L*)/2L| = #{x in L*/L : 2x = 0} = 2^(number of even
+    invariant factors), by GF(2) elimination instead of the Smith form.
+    """
     require_even(lat)
-    n = lat.rank
-    rows = []
-    for r in lat.gram:
-        w = 0
-        for j, x in enumerate(r):
-            if x % 2:
-                w |= 1 << j
-        if w:
-            rows.append(w)
-    rank = 0
-    pivots = []
-    for w in rows:
-        for p in pivots:
-            if w & (p & -p):
-                w ^= p
-        if w:
-            pivots.append(w)
-            rank += 1
-    return 2 ** (n - rank)
+    rows = [sum(1 << j for j, x in enumerate(r) if x % 2) for r in lat.gram]
+    return 2 ** (lat.rank - len(_rref(rows)))
 
 
 def classify_modules(lat):
@@ -121,7 +108,7 @@ def classify_modules(lat):
                         twisted=twisted)
 
 
-def condition_a(lat, decs=None):
+def condition_a(lat):
     """Construction from a length-8 doubly even code with the all-one word.
 
     Checked frame by frame over every qualifying coset; each extracted
@@ -132,10 +119,9 @@ def condition_a(lat, decs=None):
     require_even(lat)
     if lat.rank != 8:
         return ConditionWitness(False, detail="rank != 8")
-    decs = decompose(lat) if decs is None else decs
     fc = frame_cosets(lat)
     hit = None
-    for dec in decs:
+    for dec in decompose(lat):
         has_allone = dec.code.contains_all_one
         sc = structural_cosets(lat, dec)
         marker_in = sc.twist_minus is not None and sc.twist_minus in fc
@@ -153,7 +139,7 @@ def condition_a(lat, decs=None):
     return ConditionWitness(True, coset=hit.coset, detail="all-one codeword")
 
 
-def condition_b(lat, decs=None):
+def condition_b(lat):
     """Construction from a length-16 doubly even code with an RM(1,4) subcode.
 
     The witness subcode test is cross-checked against the quarter-sum
@@ -162,10 +148,9 @@ def condition_b(lat, decs=None):
     require_even(lat)
     if lat.rank != 16:
         return ConditionWitness(False, detail="rank != 16")
-    decs = decompose(lat) if decs is None else decs
     fc = frame_cosets(lat)
     hit = None
-    for dec in decs:
+    for dec in decompose(lat):
         witness = rm14_subcode(dec.code)
         sc = structural_cosets(lat, dec)
         marker_in = sc.twist_plus is not None and sc.twist_plus in fc
@@ -187,14 +172,12 @@ def condition_c(lat):
                             if holds else "not even unimodular of rank 8")
 
 
-def module_orbit(lat, decs=None):
+def module_orbit(lat):
     """The orbit of the distinguished class [0]^- as an OrbitReport."""
     require_even(lat)
     fc = frame_cosets(lat)
-    if decs is None:
-        decs = decompose(lat) if fc.cosets else ()
-    ca = condition_a(lat, decs)
-    cb = condition_b(lat, decs)
+    ca = condition_a(lat)
+    cb = condition_b(lat)
     cc = condition_c(lat)
 
     classes = [ModuleClass(kind="signed", coset=lat.trivial_coset, sign="-")]

@@ -102,7 +102,7 @@ def analyze(lat, bound=None):
     require_even(lat)
     fc = frame_cosets(lat)
     decs = decompose(lat)
-    orbit = module_orbit(lat, decs)
+    orbit = module_orbit(lat)
     fusion = None
     if not (orbit.cond_a or orbit.cond_b or orbit.cond_c):
         fusion = fusion_space(lat, orbit)

@@ -92,6 +92,19 @@ def leaf_count_isometry_order(gram):
     return count(0)
 
 
+def brute_force_lexmin_f2(equations, nvars):
+    """Lexicographically smallest 0/1 solution of (mask, rhs) equations over
+    F_2, by trying all 2^nvars assignments in order; None if there is none.
+
+    Bit i of a mask stands for variable i, and variable 0 is compared first.
+    """
+    for x in product((0, 1), repeat=nvars):
+        if all(sum(x[i] for i in range(nvars) if mask >> i & 1) % 2 == rhs
+               for mask, rhs in equations):
+            return x
+    return None
+
+
 def random_unimodular_conjugate(rng, gram, steps=6):
     """U G U' for a random U built from steps +-1 elementary operations.
 

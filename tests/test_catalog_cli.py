@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from voaplus import BinaryCode, CATALOG, Lattice, catalog_entry, parse_spec
 from voaplus.cli import main
-from voaplus.errors import ParseError, UnknownName
+from voaplus.errors import LengthMismatch, ParseError, UnknownName
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_parse_spec_lattice_atoms():
@@ -148,6 +152,27 @@ def test_cli_lattice_file_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", ["gramophone", {"gram": 5},
+                                 {"length": "eight"},
+                                 {"length": 4, "generators": 5}])
+def test_cli_lattice_file_wrong_shape(tmp_path, capsys, doc):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_parse_spec_code_words_keep_leading_zeros(capsys):
+    for spec in ("code(3, 0110)", "code(4, 01111)"):
+        with pytest.raises(LengthMismatch):
+            parse_spec(spec)
+    assert main(["analyze", "lb(code(3, 0110))"]) == 2
+    capsys.readouterr()
+    assert parse_spec("code(4, 0000)").dimension == 0
+    c = parse_spec("code(4, 1100, 0011)")
+    assert c.basis_strings() == ["1100", "0011"]
+
+
 def test_cli_rank_bound_env(monkeypatch, capsys):
     monkeypatch.setenv("VOAPLUS_RANK_BOUND", "2")
     assert main(["analyze", "sqrt2*A3", "--format", "json"]) == 0
@@ -222,3 +247,20 @@ def test_cli_subprocess_golden():
     doc = json.loads(result.stdout)
     assert doc["aut_order"] == 6
     assert doc["orbit"]["classes"] == ["[(0)]^-", "[(1/2)]^+", "[(1/2)]^-"]
+
+
+def test_perfbench_trace_runs_against_src(tmp_path):
+    # the benchmark's traced run wraps functions in src/ by name; a rename
+    # or deletion there must fail here rather than in the benchmark
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    args = ["analyze", "sqrt2*A3", "--format", "json"]
+    spans = tmp_path / "SPANS.json"
+    traced = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracing.py"), str(spans)]
+        + args, env=env, capture_output=True, text=True)
+    assert traced.returncode == 0, traced.stderr
+    plain = subprocess.run([sys.executable, "-m", "voaplus"] + args,
+                           env=env, capture_output=True, text=True, check=True)
+    assert traced.stdout == plain.stdout
+    doc = json.loads(spans.read_text(encoding="utf-8"))
+    assert "lattice.offsets_cache.hits" in doc["counts"]

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import random_doubly_even_code
 from voaplus import (hamming8, has_rm14_subcode, make_code, repetition_code,
                      rm14, rm14_subcode, words_of_weight, zero_code)
 from voaplus.codes import word_from_string
@@ -144,3 +146,24 @@ def test_repetition_code_even_iff_multiple_of_four():
     for n in (1, 2, 3):
         assert zero_code(n).is_doubly_even
         assert not repetition_code(n).is_doubly_even
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+       kind=st.sampled_from(["random", "doubly_even",
+                             "basis_weights_0_mod_4"]))
+def test_is_doubly_even_matches_weight_distribution(seed, n, kind):
+    # the near misses: codes whose canonical basis words all have weight
+    # 0 mod 4 are doubly even exactly when those words meet evenly
+    rng = random.Random(seed)
+    if kind == "doubly_even":
+        code = random_doubly_even_code(rng, n, rng.randrange(0, 5))
+    else:
+        while True:
+            code = make_code(n, [rng.getrandbits(n)
+                                 for _ in range(rng.randrange(0, 4))])
+            if kind == "random" or all(b.bit_count() % 4 == 0
+                                       for b in code.basis):
+                break
+    assert code.is_doubly_even == all(w % 4 == 0
+                                      for w in code.weight_distribution)

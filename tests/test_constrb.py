@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import doubly_even_sample, random_doubly_even_code
+from helpers import (brute_force_lexmin_f2, doubly_even_sample,
+                     random_doubly_even_code)
 from voaplus import (build_construction_b, canonicalize_coset, count_norm,
                      decompose, extract_code, extract_frame, frame_cosets,
                      hamming8, is_construction_b, make_lattice, parse_spec,
                      repetition_code, rm14, same_lattice, structural_cosets,
                      words_of_weight, zero_code)
-from voaplus.constrb import construction_b_generators
+from voaplus.constrb import _lexmin_f2_solution, construction_b_generators
 from voaplus.errors import CosetNotInR, NotDoublyEven, NotEven
 
 
@@ -177,3 +179,21 @@ def test_roundtrip_sample_of_random_codes():
         # extract_code verified the rebuild internally; spot-check the code
         assert dec.code.is_doubly_even
         assert dec.code.length == code.length
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 8),
+       planted=st.booleans())
+def test_lexmin_f2_solution_matches_brute_force(seed, n, planted):
+    # a planted solution makes the system consistent; otherwise the
+    # right-hand sides are random and extra equations make it often not
+    rng = random.Random(seed)
+    x = [rng.getrandbits(1) for _ in range(n)]
+    equations = []
+    for _ in range(rng.randrange(0, n + 3)):
+        mask = rng.getrandbits(n)
+        rhs = (sum(x[i] for i in range(n) if mask >> i & 1) % 2 if planted
+               else rng.getrandbits(1))
+        equations.append((mask, rhs))
+    assert (_lexmin_f2_solution(equations, n)
+            == brute_force_lexmin_f2(equations, n))

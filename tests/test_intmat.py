@@ -60,30 +60,6 @@ def test_hnf_canonical_and_spans():
             assert intmat.solve_integral(h, row) is not None
 
 
-def test_hnf_transform_is_unimodular():
-    rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randrange(1, 5)
-        rows = random_matrix(rng, rng.randrange(1, 6), n)
-        h, u, rank = intmat.hnf_with_transform(rows, n)
-        assert abs(intmat.det_bareiss(u)) == 1
-        assert intmat.mat_mul(u, rows) == h
-
-
-def test_left_kernel():
-    rng = random.Random(17)
-    for _ in range(30):
-        n = rng.randrange(1, 5)
-        rows = random_matrix(rng, rng.randrange(1, 6), n)
-        ker = intmat.left_kernel(rows, n)
-        for v in ker:
-            prod = [sum(v[i] * rows[i][j] for i in range(len(rows)))
-                    for j in range(n)]
-            assert all(x == 0 for x in prod)
-        # rank-nullity
-        assert len(ker) == len(rows) - len(intmat.hnf(rows, n))
-
-
 def test_smith_form_properties():
     rng = random.Random(19)
     seen = 0

@@ -1,5 +1,10 @@
-import pytest
+import random
+from itertools import product
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from helpers import random_posdef_gram, random_unimodular_conjugate
 from voaplus import (build_construction_b, classify_modules, condition_a,
                      condition_b, condition_c, fusion_space, make_lattice,
                      module_orbit, parse_spec, repetition_code, rm14,
@@ -22,6 +27,25 @@ def test_twisted_count_routes_agree_on_catalog():
                  "lb(hamming8)", "E8+E8", "Gamma16"]:
         lat = parse_spec(spec)
         assert twisted_character_count(lat) == twisted_character_count_mod2(lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5))
+def test_twisted_count_identities_on_random_lattices(seed, n):
+    # |(L meet 2L*)/2L| three ways: the Smith form, the order-<=2 cosets,
+    # GF(2) elimination -- and by brute force over {0,1}^n, in two bases
+    rng = random.Random(seed)
+    gram = random_posdef_gram(rng, n, even=True)
+    assume(gram is not None)
+    naive = sum(1 for v in product((0, 1), repeat=n)
+                if all(sum(g * x for g, x in zip(row, v)) % 2 == 0
+                       for row in gram))
+    other = random_unimodular_conjugate(rng, gram) if n > 1 else gram
+    for g in (gram, other):
+        lat = make_lattice(g)
+        assert twisted_character_count(lat) == naive
+        assert len(lat.discriminant.torsion2_reps) == naive
+        assert twisted_character_count_mod2(lat) == naive
 
 
 def test_classify_modules_counts():
