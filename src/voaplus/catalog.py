@@ -287,7 +287,8 @@ def lattice_from_file(path):
         return make_lattice(gram)
     if "length" in doc:
         length, gens = doc["length"], doc.get("generators", [])
-        if not (isinstance(length, int) and isinstance(gens, list)):
+        if (isinstance(length, bool) or not isinstance(length, int)
+                or not isinstance(gens, list)):
             raise ParseError("'length' must be an integer and 'generators' "
                              "a list")
         return make_code(length, gens)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (CrossCheckFailed, DimensionTooLarge, LengthMismatch,
-                     WrongLength)
+                     ParseError, WrongLength)
 
 ENUM_DIM_LIMIT = 20
 
@@ -131,12 +131,16 @@ def word_from_support(positions):
 def make_code(n, generators):
     """Canonical BinaryCode of length n spanned by the generators.
 
-    Generators may be bit-packed ints, 0/1 strings, or 0/1 sequences.
+    Generators may be bit-packed ints, 0/1 strings, or 0/1 lists or
+    tuples; anything else (a float, None, a bool) raises ParseError.
     """
     if n <= 0:
         raise LengthMismatch("code length must be positive")
     words = []
     for g in generators:
+        if isinstance(g, bool) or not isinstance(g, (int, str, list, tuple)):
+            raise ParseError("generator %r is not a bit-packed int, a 0/1 "
+                             "string or a 0/1 list" % (g,))
         if isinstance(g, int):
             w = g
         elif isinstance(g, str):
@@ -145,11 +149,14 @@ def make_code(n, generators):
                                      % (g, len(g), n))
             w = word_from_string(g)
         else:
-            bits = list(g)
-            if len(bits) != n:
+            if len(g) != n:
                 raise LengthMismatch("generator has length %d, expected %d"
-                                     % (len(bits), n))
-            w = word_from_support(i for i, b in enumerate(bits) if int(b))
+                                     % (len(g), n))
+            if any(isinstance(b, bool) or not isinstance(b, int)
+                   or b not in (0, 1) for b in g):
+                raise LengthMismatch("codeword lists must be over {0,1}: %r"
+                                     % (g,))
+            w = word_from_support(i for i, b in enumerate(g) if b)
         if w >> n:
             raise LengthMismatch("generator uses coordinates beyond length %d" % n)
         words.append(w)

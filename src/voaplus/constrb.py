@@ -18,8 +18,7 @@ from . import intmat
 from .codes import BinaryCode, _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import (Coset, Lattice, count_norm, require_even,
-                      scaled_vectors_of_norm)
+from .lattice import Coset, Lattice, require_even, scaled_vectors_of_norm
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,17 @@ def build_construction_b(code, signs=None):
 def frame_cosets(lat):
     """Order-<=2 dual cosets meeting the norm-2 bound 2n + |roots|.
 
+    Every count comes from one enumeration (Lattice.torsion2_norm2_offsets).
     The count is asserted to equal the bound exactly; an excess would
     contradict the frame-extraction argument and signals a bug.
     """
     require_even(lat)
+    sweep = lat.torsion2_norm2_offsets      # one enumeration for all cosets
     bound = 2 * lat.rank + lat.root_count
     kept = []
     counts = []
     for coset in lat.discriminant.torsion2_reps:
-        c = count_norm(lat, coset, 2)
+        c = len(sweep[coset.rep])
         if c >= bound:
             if c > bound:
                 raise EqualityViolated(

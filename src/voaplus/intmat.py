@@ -1,10 +1,10 @@
 """Exact integer and rational matrix routines.
 
-Determinants and adjugates (Bareiss), Hermite and Smith normal forms and
-dense Fraction inverses, all over plain Python arbitrary-precision
-numbers.  Matrices are lists of row lists.  Sizes in
-this package stay tiny (rank <= 20), so the straightforward algorithms are
-the right ones.
+Determinants and adjugates (Bareiss), Hermite and Smith normal forms,
+dense Fraction inverses and the integral LLL reduction of a Gram matrix,
+all over plain Python arbitrary-precision numbers.  Matrices are lists of
+row lists.  Sizes in this package stay tiny (rank <= 20), so the
+straightforward algorithms are the right ones.
 """
 
 import math
@@ -36,12 +36,6 @@ def dot(u, v):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    cols = len(b[0])
-    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for ra in a]
 
 
 def det_bareiss(mat):
@@ -301,3 +295,78 @@ def invert_fraction(mat):
     rows, den = scaled_integer_rows(mat)
     adj, det = adjugate(rows)
     return [[Fraction(den * x, det) for x in row] for row in adj]
+
+
+def lll_gram(gram):
+    """Integral LLL reduction (delta = 3/4) of a positive-definite Gram matrix.
+
+    Returns (reduced, h): h is unimodular and reduced = h * gram * h^T is
+    the Gram matrix of an LLL-reduced basis.  All-integer form of
+    Lenstra-Lenstra-Lovasz (1982), after Cohen, "A Course in Computational
+    Algebraic Number Theory", Alg. 2.6.7: with d[i] the Gram determinant of
+    the first i vectors and lam[k][j] = d[j+1] * mu_kj, every update is an
+    exact integer division.  The reduced basis is size-reduced
+    (|2 lam[k][j]| <= d[j+1]) and satisfies the Lovasz condition
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.
+    """
+    n = len(gram)
+    g = [list(row) for row in gram]
+    h = identity(n)
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)
+
+    def reduce(k, l):
+        # b_k -= q b_l with q the integer nearest mu_kl
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        h[k] = [a - q * b for a, b in zip(h[k], h[l])]
+        g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        # exchange b_{k-1} and b_k; d[k] and the lam entries it touches move
+        h[k - 1], h[k] = h[k], h[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lm = lam[k][k - 1]
+        dk, dk1 = d[k + 1], d[k]
+        b = (d[k - 1] * dk + lm * lm) // dk1
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (dk * lam[i][k - 1] - lm * t) // dk1
+            lam[i][k - 1] = (b * t + lm * lam[i][k]) // dk
+        d[k] = b
+
+    d[1] = g[0][0]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt of the vector not yet seen
+            kmax = k
+            for j in range(k + 1):
+                u = g[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        lm = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lm * lm:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return g, h

@@ -6,6 +6,13 @@ vectors rational ones (x lies in the dual iff G x is integral).  Cosets of
 the lattice inside its dual carry a canonical representative derived from
 the Smith form of the Gram matrix, so equality of cosets is equality of
 representatives.
+
+The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
+dual vector v has 2v in L exactly when w = 2v lies in
+M = L cap 2L* = {x in Z^n : G x = 0 mod 2}, and <v, v> = 2 exactly when
+<w, w> = 8.  So those vectors are the w/2 for the norm-8 vectors w of M,
+and w mod 2 names the coset of w/2.  M is enumerated once, in an
+LLL-reduced basis, and its vectors are bucketed by coset.
 """
 
 from dataclasses import dataclass
@@ -14,6 +21,7 @@ from functools import lru_cache, cached_property
 from itertools import product
 
 from . import intmat, kernels
+from .codes import _rref
 from .errors import (NormNegative, NotDualVector, NotEven, NotIntegral,
                      NotPositiveDefinite, NotSymmetric, RankBoundExceeded)
 
@@ -44,8 +52,9 @@ class Lattice:
             raise NotPositiveDefinite("gram matrix must be square and nonempty")
         for r in rows:
             for x in r:
-                if not isinstance(x, int) and not (
-                        isinstance(x, Fraction) and x.denominator == 1):
+                integral = isinstance(x, int) or (
+                    isinstance(x, Fraction) and x.denominator == 1)
+                if isinstance(x, bool) or not integral:
                     raise NotIntegral("gram entries must be integers: %r" % (x,))
         rows = [[int(x) for x in r] for r in rows]
         for i in range(n):
@@ -121,6 +130,13 @@ class Lattice:
     @cached_property
     def root_count(self):
         return count_norm(self, None, 2)
+
+    @cached_property
+    def torsion2_norm2_offsets(self):
+        """{rep: sorted offsets} of the norm-2 vectors of every order-<=2
+        coset, keyed by canonical representative; one enumeration of M.
+        Once computed, norm-2 queries on these cosets read it."""
+        return _torsion2_sweep(self)
 
     @cached_property
     def is_2_elementary(self):
@@ -215,12 +231,67 @@ def _cached_offsets(lat, rep, m):
     return tuple(kernels.enumerate_offsets(lat.gram, rep, m))
 
 
+def _torsion2_basis(gram):
+    """Rows over L's basis spanning M = {x : G x = 0 mod 2}.
+
+    Row f is 2 e_f when f is a pivot column of G mod 2, else the 0/1 lift of
+    the kernel vector with x_f = 1 and every other free coordinate 0.
+    """
+    n = len(gram)
+    rows = _rref([sum(1 << j for j in range(n) if gram[i][j] % 2)
+                  for i in range(n)])
+    pivots = {(r & -r).bit_length() - 1: r for r in rows}
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            basis.append([2 * (j == f) for j in range(n)])
+        else:
+            basis.append([pivots[j] >> f & 1 if j in pivots else int(j == f)
+                          for j in range(n)])
+    return basis
+
+
+def _torsion2_sweep(lat):
+    """See Lattice.torsion2_norm2_offsets and the module docstring."""
+    n = lat.rank
+    basis = _torsion2_basis(lat.gram)
+    reduced, h = intmat.lll_gram(sublattice_gram(lat, basis))
+    # the reduced basis of M, rows over L's basis
+    rows = [[intmat.dot(hi, col) for col in zip(*basis)] for hi in h]
+    ys = kernels.enumerate_offsets(reduced, (0,) * n, 8)
+    buckets = {}
+    while ys:
+        y = ys.pop()    # each y is freed once mapped
+        w = [0] * n
+        for yi, row in zip(y, rows):
+            if yi:
+                w = [a + yi * b for a, b in zip(w, row)]
+        buckets.setdefault(tuple(a & 1 for a in w), []).append(w)
+    out = {}
+    for coset in lat.discriminant.torsion2_reps:
+        r2 = [x.numerator * 2 // x.denominator for x in coset.rep]
+        ws = buckets.pop(tuple(a & 1 for a in r2), [])
+        ws.sort()
+        out[coset.rep] = tuple(tuple((a - b) // 2 for a, b in zip(w, r2))
+                               for w in ws)
+    return out
+
+
 def _offsets(lat, coset, m):
-    """(rep, offsets) of the vectors of norm m in the coset (None: L)."""
+    """(rep, offsets) of the vectors of norm m in the coset (None: L).
+
+    Once the one-pass sweep of the order-<=2 cosets exists (frame_cosets
+    asks for it), norm-2 queries on their canonical representatives read
+    it.  Before that a single coset costs one tree of its own, which on a
+    lattice with thousands of order-<=2 cosets is far less than the sweep.
+    """
     m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
     rep = coset.rep if coset is not None else (0,) * lat.rank
+    sweep = lat.__dict__.get("torsion2_norm2_offsets")
+    if m == 2 and sweep is not None and rep in sweep:
+        return rep, sweep[rep]
     return rep, _cached_offsets(lat, rep, m)
 
 
@@ -330,9 +401,5 @@ def require_even(lat):
 
 def sublattice_gram(lat, basis_rows):
     """Gram matrix of the sublattice spanned by integer rows over lat's basis."""
-    b = [list(r) for r in basis_rows]
-    n = lat.rank
-    g = lat.gram
-    k = len(b)
-    return [[sum(b[i][s] * g[s][t] * b[j][t] for s in range(n) for t in range(n))
-             for j in range(k)] for i in range(k)]
+    gb = [lat.gram_times(r) for r in basis_rows]
+    return [[intmat.dot(bi, gbj) for gbj in gb] for bi in basis_rows]

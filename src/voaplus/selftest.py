@@ -3,12 +3,16 @@
 Every catalog entry carries its pinned invariants; this module recomputes
 them and reports one named check per comparison, plus the cross-catalog
 properties (the exceeds-stabilizer equivalence, fusion sizes being powers
-of two, the two twisted-count routes agreeing).  Internal-assertion errors
-surface as failed checks rather than aborting the sweep.
+of two, the two twisted-count routes agreeing, the one-pass norm-2 sweep of
+the order-<=2 cosets agreeing with one enumeration per coset).
+Internal-assertion errors surface as failed checks rather than aborting the
+sweep.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+from . import kernels
 from .catalog import CATALOG
 from .errors import VoaplusError
 from .orbit import twisted_character_count, twisted_character_count_mod2
@@ -111,5 +115,12 @@ def run_selftest(bound=None):
                 "index route %d, mod-2 route %d" % (a, b))
         except VoaplusError as exc:
             out(name + ".twisted_count_routes_agree", False, str(exc))
+        lat = rep.lattice
+        sweep = lat.torsion2_norm2_offsets
+        bad = [c.label() for c in lat.discriminant.torsion2_reps
+               if sweep[c.rep] != tuple(
+                   kernels.enumerate_offsets(lat.gram, c.rep, Fraction(2)))]
+        out(name + ".torsion2_routes_agree", not bad,
+            "sweep and per-coset enumeration differ on %s" % ", ".join(bad))
 
     return checks

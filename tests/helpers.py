@@ -39,6 +39,13 @@ def naive_vectors_of_norm(gram, rep, m, box=8):
     return out
 
 
+def mat_mul(a, b):
+    """Plain integer matrix product of row lists."""
+    cols = len(b[0])
+    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for ra in a]
+
+
 def naive_isometry_order(gram, box=8):
     """|O(L)| by unpruned brute force over candidate images (rank <= 3)."""
     n = len(gram)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -162,6 +163,22 @@ def test_cli_lattice_file_wrong_shape(tmp_path, capsys, doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"gram": [[True, False], [False, True]]},
+    {"length": 4, "generators": ["1111", 3.5]},
+    {"length": 4, "generators": ["1111", None]},
+    {"length": 4, "generators": [True]},
+    {"length": 4, "generators": [[1, 1, 1, 1.0]]},
+    {"length": True, "generators": []}])
+def test_cli_input_file_wrong_entry_types(tmp_path, capsys, doc):
+    # JSON true is not the integer 1, and a float is not a codeword
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for verb in ("analyze", "odd"):
+        assert main([verb, str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_parse_spec_code_words_keep_leading_zeros(capsys):
     for spec in ("code(3, 0110)", "code(4, 01111)"):
         with pytest.raises(LengthMismatch):
@@ -208,6 +225,22 @@ def test_cli_selftest_detects_injected_violation(monkeypatch, capsys):
     monkeypatch.setattr(st, "twisted_character_count_mod2", lambda lat: -1)
     assert main(["selftest"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_selftest_compares_torsion2_routes(monkeypatch, capsys):
+    # break the per-coset route only; the sweep keeps the real kernel
+    import voaplus.selftest as st
+    from voaplus.kernels import enumerate_offsets
+    small = tuple(e for e in st.CATALOG
+                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
+    monkeypatch.setattr(st, "CATALOG", small)
+    monkeypatch.setattr(st, "kernels", SimpleNamespace(
+        enumerate_offsets=lambda *args: enumerate_offsets(*args)[:-1]))
+    assert main(["selftest"]) == 4
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "FAIL" in line]
+    assert failed
+    assert all(".torsion2_routes_agree" in line for line in failed)
 
 
 def test_cli_fractional_norm(capsys):

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_force_lexmin_f2, doubly_even_sample,
-                     random_doubly_even_code)
+                     random_doubly_even_code, random_unimodular_conjugate)
 from voaplus import (build_construction_b, canonicalize_coset, count_norm,
                      decompose, extract_code, extract_frame, frame_cosets,
                      hamming8, is_construction_b, make_lattice, parse_spec,
@@ -69,6 +70,41 @@ def test_frame_coset_counts_equal_bound():
     for spec in ["2A1", "sqrt2*(A1+A1)", "sqrt2*A3", "lb(hamming8)"]:
         fc = frame_cosets(parse_spec(spec))
         assert all(c == fc.bound for c in fc.counts)
+
+
+def test_frame_cosets_sweeps_all_cosets_in_one_enumeration(monkeypatch):
+    # one tree for all 256 order-<=2 cosets of lb(rm14), not one per coset
+    from voaplus import kernels, lattice
+    calls = []
+    real = kernels.enumerate_offsets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_offsets", counting)
+    frame_cosets.cache_clear()
+    lattice._cached_offsets.cache_clear()
+    lat = parse_spec("lb(rm14)")
+    assert len(lat.discriminant.torsion2_reps) == 256
+    fc = frame_cosets(lat)
+    assert len(fc) == 135 and fc.bound == 32
+    assert len(calls) <= 2
+    assert len(extract_frame(lat, fc.cosets[0])) == 16
+    assert len(calls) <= 2
+
+
+def test_frame_cosets_of_skewed_basis():
+    # the norm-2 sweep runs in a reduced basis of M, so a skewed basis of L
+    # costs no more than the catalog one; root_count then reads the sweep
+    # (on its own tree in this basis it took 54 s)
+    gram = random_unimodular_conjugate(
+        random.Random(2), parse_spec("lb(rm14)").gram, steps=80)
+    lat = make_lattice(gram)
+    t0 = time.perf_counter()
+    assert len(frame_cosets(lat)) == 135
+    assert lat.root_count == 0
+    assert time.perf_counter() - t0 < 10.0    # about 0.3 s on a 2-core VM
 
 
 def test_frame_cosets_requires_even():

@@ -1,8 +1,12 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voaplus import intmat
+from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
+from voaplus import intmat, parse_spec
 from voaplus.errors import RankDeficient
 
 
@@ -78,10 +82,10 @@ def test_smith_form_properties():
                 assert d % diag[i - 1] == 0
         assert prod == abs(intmat.det_bareiss(m))
         assert abs(intmat.det_bareiss(u)) == 1
-        ident = intmat.mat_mul(u, uinv)
+        ident = mat_mul(u, uinv)
         assert ident == intmat.identity(n)
         # U*m has the same row span as diag(d): U*m*V = D with V unimodular
-        um = intmat.mat_mul(u, m)
+        um = mat_mul(u, m)
         dmat = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         assert intmat.hnf(um, n) != [] and intmat.det_bareiss(um) != 0
         assert abs(intmat.det_bareiss(um)) == abs(intmat.det_bareiss(dmat))
@@ -102,11 +106,11 @@ def test_invert_fraction_roundtrip():
             continue
         seen += 1
         inv = intmat.invert_fraction(m)
-        assert intmat.mat_mul(m, inv) == intmat.identity(n)
+        assert mat_mul(m, inv) == intmat.identity(n)
         adj, d = intmat.adjugate(m)
         assert d == abs(intmat.det_bareiss(m))
-        assert intmat.mat_mul(m, adj) == [[d * x for x in row]
-                                          for row in intmat.identity(n)]
+        assert mat_mul(m, adj) == [[d * x for x in row]
+                                   for row in intmat.identity(n)]
     with pytest.raises(RankDeficient):
         intmat.adjugate([[1, 2], [2, 4]])
 
@@ -121,3 +125,49 @@ def test_same_row_lattice_relations():
     assert not intmat.same_row_lattice(basis, sub)
     with pytest.raises(RankDeficient):
         intmat.same_row_lattice([[1, 0]], [[1, 0], [0, 1]])
+
+
+def assert_lll_reduced(gram, reduced, h):
+    """h unimodular, h G h' == reduced, and reduced is LLL-reduced with
+    delta = 3/4, checked on an exact Gram-Schmidt of reduced."""
+    n = len(gram)
+    assert abs(intmat.det_bareiss(h)) == 1
+    assert mat_mul(mat_mul(h, gram), [list(c) for c in zip(*h)]) == reduced
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (reduced[i][j] - sum(mu[j][k] * mu[i][k] * b[k]
+                                            for k in range(j))) / b[j]
+        b[i] = reduced[i][i] - sum((mu[i][k] ** 2 * b[k] for k in range(i)),
+                                   Fraction(0))
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        if i:
+            assert b[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * b[i - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8))
+def test_lll_gram_is_reduced_and_unimodular(seed, n):
+    rng = random.Random(seed)
+    gram = None
+    while gram is None:
+        gram = random_posdef_gram(rng, n, hi=12)
+    grams = [gram]
+    if n > 1:
+        grams.append(random_unimodular_conjugate(rng, gram, steps=4 * n))
+    for g in grams:
+        reduced, h = intmat.lll_gram(g)
+        assert_lll_reduced(g, reduced, h)
+
+
+def test_lll_gram_skewed_bw16_within_budget():
+    # 80 random +-1 elementary basis changes of lb(rm14): max |G| = 1216
+    gram = random_unimodular_conjugate(
+        random.Random(2), parse_spec("lb(rm14)").gram, steps=80)
+    assert max(abs(x) for row in gram for x in row) == 1216
+    t0 = time.perf_counter()
+    reduced, h = intmat.lll_gram(gram)
+    assert time.perf_counter() - t0 < 2.0      # about 5 ms on a 2-core VM
+    assert_lll_reduced(gram, reduced, h)
+    assert all(reduced[i][i] == 4 for i in range(16))

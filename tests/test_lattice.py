@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (leaf_count_isometry_order, naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
                      random_unimodular_conjugate)
-from voaplus import (canonicalize_coset, direct_sum, make_lattice,
+from voaplus import (canonicalize_coset, count_norm, direct_sum, make_lattice,
                      orthogonal_group_order, parse_spec, rescale, same_lattice,
                      vectors_of_norm)
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
@@ -144,6 +144,28 @@ def test_enumeration_backends_agree():
         assert vectors_of_norm(lat, coset, m) == core
         found += len(core)
     assert found > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       even=st.booleans())
+def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
+    rng = random.Random(seed)
+    gram = None
+    while gram is None:
+        gram = random_posdef_gram(rng, n, hi=12, even=even)
+    grams = [gram]
+    if n > 1:
+        grams.append(random_unimodular_conjugate(rng, gram, steps=3 * n))
+    for g in grams:
+        lat = make_lattice(g)
+        sweep = lat.torsion2_norm2_offsets
+        cosets = lat.discriminant.torsion2_reps
+        assert sorted(sweep) == sorted(c.rep for c in cosets)
+        for coset in cosets:
+            want = tuple(enumerate_offsets(g, coset.rep, Fraction(2)))
+            assert sweep[coset.rep] == want, (g, coset.rep)
+            assert count_norm(lat, coset, 2) == len(want)
 
 
 def test_enumeration_symmetry_and_coset_closure():

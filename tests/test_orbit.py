@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import random_posdef_gram, random_unimodular_conjugate
+from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
 from voaplus import (build_construction_b, classify_modules, condition_a,
                      condition_b, condition_c, fusion_space, make_lattice,
                      module_orbit, parse_spec, repetition_code, rm14,
@@ -154,7 +154,7 @@ def test_fusion_space_sizes():
 def test_classify_counts_invariant_under_basis_change():
     import random
 
-    from voaplus.intmat import det_bareiss, mat_mul
+    from voaplus.intmat import det_bareiss
 
     rng = random.Random(808)
     for spec in ["A2", "2A1", "sqrt2*A3", "D4"]:
