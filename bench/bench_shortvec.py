@@ -5,26 +5,32 @@ Runs fixed-norm enumerations through ``kernels.enumerate_offsets`` --
 whole lattices, or every order-<=2 coset of one, either one tree per coset
 or in one pass over M = L cap 2L* (the route the package takes, LLL
 reduction and bucketing included) -- and prints each case's best time over
-``--repeat`` runs and the number of vectors found.
+``--repeat`` runs and the number of vectors found.  Exits with status 1
+if any count differs from the case's known value.
 
 Usage: PYTHONPATH=src python bench/bench_shortvec.py [--repeat N]
 """
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 
 from voaplus import lattice, parse_spec
 from voaplus.kernels import enumerate_offsets
 
+# (name, spec, coset mode, norm, known vector count)
 CASES = [
-    ("E8 roots", "E8", None, 2),
-    ("Gamma16 roots", "Gamma16", None, 2),
-    ("E8+E8 norm 4", "E8+E8", None, 4),
-    ("sqrt2E8 coset sweep", "lb(rep(8))", "torsion2", 2),
-    ("sqrt2E8 one-pass sweep", "lb(rep(8))", "onepass", 2),
-    ("BW16-like coset sweep", "lb(rm14)", "torsion2", 2),
-    ("BW16-like one-pass sweep", "lb(rm14)", "onepass", 2),
+    ("E8 roots", "E8", None, 2, 240),
+    ("Gamma16 roots", "Gamma16", None, 2, 480),
+    ("E8+E8 norm 4", "E8+E8", None, 4, 61920),
+    ("sqrt2E8 coset sweep", "lb(rep(8))", "torsion2", 2, 2160),
+    ("sqrt2E8 one-pass sweep", "lb(rep(8))", "onepass", 2, 2160),
+    ("BW16-like coset sweep", "lb(rm14)", "torsion2", 2, 4320),
+    ("BW16-like one-pass sweep", "lb(rm14)", "onepass", 2, 4320),
+    # A1+A1 in the basis (b0, b1 + 94906267 b0)
+    ("skewed A1+A1 roots",
+     "gram([[2,189812534],[189812534,18014399031750580]])", None, 2, 4),
 ]
 
 
@@ -45,7 +51,8 @@ def main():
     args = ap.parse_args()
 
     print("%-26s %10s %9s" % ("case", "best [s]", "vectors"))
-    for name, spec, coset_mode, m in CASES:
+    wrong = []
+    for name, spec, coset_mode, m, known in CASES:
         lat = parse_spec(spec)
         best = float("inf")
         for _ in range(args.repeat):
@@ -53,6 +60,10 @@ def main():
             count = run_case(lat, coset_mode, m)
             best = min(best, time.perf_counter() - t0)
         print("%-26s %10.4f %9d" % (name, best, count))
+        if count != known:
+            wrong.append("%s: %d vectors, expected %d" % (name, count, known))
+    if wrong:
+        sys.exit("wrong vector counts:\n" + "\n".join(wrong))
 
 
 if __name__ == "__main__":

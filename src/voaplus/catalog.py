@@ -275,8 +275,12 @@ def parse_spec(text):
 
 
 def lattice_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        # unreadable, not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("input file must hold a JSON object")
     if "gram" in doc:

@@ -4,9 +4,10 @@ Commands: analyze, shortvec, rl, decompose, orbit, odd, selftest.  The
 positional SPEC is either a constructor expression (see catalog) or a path
 to a JSON document with a "gram" (lattice) or "length"/"generators" (code)
 field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
-assertion failure.  VOAPLUS_RANK_BOUND, a non-negative integer, overrides
-the rank bound of the isometry-group count (default 4); any other value is
-bad input.
+assertion failure, 141 (the shell's status for SIGPIPE) when the reader of
+stdout closes it early, with nothing on stderr.  VOAPLUS_RANK_BOUND, a
+non-negative integer, overrides the rank bound of the isometry-group count
+(default 4); any other value is bad input.
 """
 
 import argparse
@@ -61,10 +62,10 @@ def parse_fraction(text):
 
 
 def parse_coset(lat, text):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != lat.rank:
         raise ParseError("coset needs %d coordinates" % lat.rank)
-    vec = tuple(parse_fraction(p.strip()) for p in parts)
+    vec = tuple(parse_fraction(p) for p in parts)
     return canonicalize_coset(lat, vec)
 
 
@@ -221,7 +222,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
@@ -231,9 +234,11 @@ def main(argv=None):
     except InternalCheckError as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 4
-    except json.JSONDecodeError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import RankDeficient
+from .errors import NotPositiveDefinite, RankDeficient
 
 
 def xgcd(a, b):
@@ -63,11 +63,33 @@ def det_bareiss(mat):
     return sign * m[n - 1][n - 1]
 
 
-def leading_minors_positive(mat):
-    """True iff every leading principal minor is > 0 (positive definite)."""
-    n = len(mat)
-    return all(det_bareiss([row[: k + 1] for row in mat[: k + 1]]) > 0
-               for k in range(n))
+def ldl(gram):
+    """Fraction-free LDL data of a positive-definite integer Gram matrix.
+
+    Returns (d, lam): d[k] is the k-th leading principal minor (d[0] = 1)
+    and, for j <= k, lam[k][j] = d[j+1] * mu_kj with mu the Gram-Schmidt
+    coefficients, so lam[k][k] = d[k+1].  Then
+    y' G y = sum_i w_i^2 / (d[i] d[i+1]), w_i = sum_{k>=i} lam[k][i] y_k.
+    This is the integral Gram-Schmidt step of Cohen, "A Course in
+    Computational Algebraic Number Theory", Alg. 2.6.7 (Bareiss
+    elimination): every division is exact.  Raises NotPositiveDefinite at
+    the first leading minor that is not positive.
+    """
+    n = len(gram)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        if lam[k][k] <= 0:
+            raise NotPositiveDefinite(
+                "gram matrix is not positive definite: leading minor %d "
+                "is %d" % (k + 1, lam[k][k]))
+        d[k + 1] = lam[k][k]
+    return d, lam
 
 
 def _hnf_inplace(rows, ncols):
@@ -312,8 +334,8 @@ def lll_gram(gram):
     n = len(gram)
     g = [list(row) for row in gram]
     h = identity(n)
-    lam = [[0] * n for _ in range(n)]
-    d = [1] * (n + 1)
+    # lam's diagonal is not kept up to date below; d is
+    d, lam = ldl(g)
 
     def reduce(k, l):
         # b_k -= q b_l with q the integer nearest mu_kl
@@ -340,26 +362,14 @@ def lll_gram(gram):
         lm = lam[k][k - 1]
         dk, dk1 = d[k + 1], d[k]
         b = (d[k - 1] * dk + lm * lm) // dk1
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, n):
             t = lam[i][k]
             lam[i][k] = (dk * lam[i][k - 1] - lm * t) // dk1
             lam[i][k - 1] = (b * t + lm * lam[i][k]) // dk
         d[k] = b
 
-    d[1] = g[0][0]
-    k, kmax = 1, 0
+    k = 1
     while k < n:
-        if k > kmax:
-            # incremental Gram-Schmidt of the vector not yet seen
-            kmax = k
-            for j in range(k + 1):
-                u = g[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    d[k + 1] = u
         reduce(k, k - 1)
         lm = lam[k][k - 1]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lm * lm:

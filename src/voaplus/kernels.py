@@ -2,117 +2,66 @@
 
 Given an integer Gram matrix G, a coset representative rep = r/q and a
 rational target norm m = mn/md, enumerate every integer offset x such that
-(x + rep)' G (x + rep) == m.  Float arithmetic (an LDL decomposition of G)
-only prunes the search tree; every surviving candidate is confirmed with an
-exact integer identity on Python ints, which are unbounded, so the output
-is exact whatever the size of the entries.
+(x + rep)' G (x + rep) == m.  The search is Fincke-Pohst pruning on the
+fraction-free LDL data of G (intmat.ldl) and runs on Python ints alone, so
+it is exact whatever the size of the entries: no vector is missed and
+none is returned that fails the norm identity.
 """
 
-import math
+from math import isqrt
 
-from .intmat import scaled_integer_rows
-
-
-def ldl_decompose(gram):
-    """Float LDL data for the pruning recursion.
-
-    Returns lists (d, u) with
-    norm(v) = sum_i d[i] * (v[i] + sum_{j>i} u[i][j] v[j])^2.
-    """
-    n = len(gram)
-    q = [[float(x) for x in row] for row in gram]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    u = [[q[i][j] if j > i else 0.0 for j in range(n)] for i in range(n)]
-    return d, u
+from .intmat import ldl, scaled_integer_rows
 
 
 def _enumerate(gram, q, rnum, mnum, mden):
     """Depth-first fixed-norm enumeration; see module docstring.
 
-    Levels run n-1 .. 0.  At each level the float budget left over from the
-    levels above bounds the integer coordinate range (with slack eps).  A
-    child whose budget is already below -eps, or whose range is empty, is
-    not entered: the budget only shrinks on the way down, so its subtree
-    holds no candidate.  Next to the floats each call carries, exactly, the
-    norm of the scaled tail y_j = q x_j + r_j (j above the level), so a
-    complete assignment is kept only if y' G y * md == mn * q^2 holds in
-    integers.
+    With y = q x + r, d the leading minors and lam the LDL entries of G,
+    y' G y = sum_i w_i^2 / (d[i] d[i+1]) where
+    w_i = d[i+1] y_i + sum_{j>i} lam[j][i] y_j.  The tail budget
+    p_i = (d[i] p_{i+1} + w_i^2) / d[i+1] (p_n = 0) is an exact integer,
+    d[i] times the norm of y's projection away from the first i basis
+    vectors, and y' G y = p_0.  Levels run n-1 .. 0.  Once the levels above
+    i are fixed, the tail fits the target norm mn q^2 / md exactly when
+    md w_i^2 <= bound = d[i] (d[i+1] mn q^2 - md p_{i+1}), which gives x_i
+    an integer range.  At level 0 a vector is kept only if
+    md w_0^2 == bound, which is the identity y' G y * md == mn * q^2.
     """
     n = len(gram)
-    d, u = ldl_decompose(gram)
-    repf = [r / q for r in rnum]
-    mfloat = float(mnum) / float(mden)
-    eps = 1e-6 * (mfloat + 1.0)
+    if mnum < 0:
+        return []
+    d, lam = ldl(gram)
     target = mnum * q * q
     x = [0] * n
     y = [0] * n
-    v = [0.0] * n
     out = []
 
-    def descend(lvl, budget, c, lo, hi, exact):
-        # c: float centre of this level; [lo, hi]: its nonempty range;
-        # exact: y' G y over the coordinates above this level
-        dl = d[lvl]
-        rf = repf[lvl]
-        rl = rnum[lvl]
-        gl = gram[lvl]
-        gll = gl[lvl]
-        twice = 0
-        if lvl == 0:
-            for j in range(1, n):
-                twice += gl[j] * y[j]
-            twice *= 2
-            for xi in range(lo, hi + 1):
-                w = rf + xi + c
-                if budget - dl * w * w > -eps:
-                    yi = q * xi + rl
-                    if (exact + yi * (gll * yi + twice)) * mden == target:
-                        x[0] = xi
-                        out.append(tuple(x))
+    def descend(k, p):
+        # levels above k are fixed, p = p_{k+1}; run x_k over its range
+        dk1 = d[k + 1]
+        bound = d[k] * (dk1 * target - mden * p)
+        r = isqrt(bound // mden)
+        a = dk1 * q
+        b = dk1 * rnum[k]
+        for j in range(k + 1, n):
+            b += lam[j][k] * y[j]
+        lo, hi = -((r + b) // a), (r - b) // a
+        if k == 0:
+            # only the ends of the range can reach w_0^2 == bound / md
+            for xk in {lo, hi} if lo <= hi else ():
+                w = a * xk + b
+                if mden * w * w == bound:
+                    x[0] = xk
+                    out.append(tuple(x))
             return
-        k = lvl - 1
-        uk = u[k]
-        ukl = uk[lvl]
         dk = d[k]
-        rk = repf[k]
-        base = 0.0
-        for j in range(lvl + 1, n):
-            twice += gl[j] * y[j]
-            base += uk[j] * v[j]
-        twice *= 2
-        for xi in range(lo, hi + 1):
-            vl = rf + xi
-            w = vl + c
-            t = budget - dl * w * w
-            if t <= -eps:
-                continue
-            ck = base + ukl * vl
-            rad = math.sqrt(max(t, 0.0) / dk)
-            ctr = ck + rk
-            klo = math.ceil(-ctr - rad - eps)
-            khi = math.floor(-ctr + rad + eps)
-            if klo > khi:
-                continue
-            x[lvl] = xi
-            v[lvl] = vl
-            yi = q * xi + rl
-            y[lvl] = yi
-            descend(k, t, ck, klo, khi, exact + yi * (gll * yi + twice))
+        for xk in range(lo, hi + 1):
+            w = a * xk + b
+            x[k] = xk
+            y[k] = q * xk + rnum[k]
+            descend(k - 1, (dk * p + w * w) // dk1)
 
-    top = n - 1
-    budget = mfloat + eps
-    rad = math.sqrt(max(budget, 0.0) / d[top])
-    lo = math.ceil(-repf[top] - rad - eps)
-    hi = math.floor(-repf[top] + rad + eps)
-    if lo <= hi:
-        descend(top, budget, 0.0, lo, hi, 0)
+    descend(n - 1, 0)
     out.sort()
     return out
 

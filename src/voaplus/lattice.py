@@ -61,8 +61,7 @@ class Lattice:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise NotSymmetric("gram[%d][%d] != gram[%d][%d]" % (i, j, j, i))
-        if not intmat.leading_minors_positive(rows):
-            raise NotPositiveDefinite("gram matrix is not positive definite")
+        self._det = intmat.ldl(rows)[0][n]
         self._gram = tuple(tuple(r) for r in rows)
         self._rank = n
 
@@ -83,9 +82,9 @@ class Lattice:
     def __repr__(self):
         return "Lattice(%r)" % (list(map(list, self._gram)),)
 
-    @cached_property
+    @property
     def det(self):
-        return intmat.det_bareiss([list(r) for r in self._gram])
+        return self._det
 
     @cached_property
     def is_even(self):
@@ -306,7 +305,7 @@ def vectors_of_norm(lat, coset, m):
     """Every dual vector v in the coset with <v, v> == m, lex-sorted.
 
     ``coset`` may be a Coset or None for the lattice itself.  Enumeration is
-    float-pruned but every returned vector passed an exact norm identity.
+    exact integer arithmetic throughout (see kernels).
     """
     q, rows = scaled_vectors_of_norm(lat, coset, m)
     return [tuple(Fraction(y, q) for y in row) for row in rows]

@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 from voaplus import make_code, make_lattice, vectors_of_norm
-from voaplus.intmat import det_bareiss, leading_minors_positive
+from voaplus.errors import NotPositiveDefinite
+from voaplus.intmat import ldl
 
 
 def naive_vectors_of_norm(gram, rep, m, box=8):
@@ -140,9 +141,11 @@ def random_posdef_gram(rng, n, lo=-4, hi=8, even=False):
             g[i][i] += 1
         for j in range(i + 1, n):
             g[i][j] = g[j][i] = rng.randrange(lo, 3)
-    if leading_minors_positive(g) and det_bareiss(g) >= 1:
-        return g
-    return None
+    try:
+        ldl(g)
+    except NotPositiveDefinite:
+        return None
+    return g
 
 
 def random_doubly_even_code(rng, n, k):

@@ -108,6 +108,31 @@ def test_cli_rl_and_shortvec(capsys):
     assert "2 vectors" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("t", [94906267, 10 ** 8])
+def test_cli_shortvec_skewed_basis(capsys, t):
+    # A1+A1 in the basis (b0, b1 + t b0): all four roots, exactly
+    spec = "gram([[2,%d],[%d,%d]])" % (2 * t, 2 * t, 2 * t * t + 2)
+    assert main(["shortvec", spec, "--norm", "2"]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "4 vectors of norm 2", "  (%d, 1)" % -t, "  (-1, 0)", "  (1, 0)",
+        "  (%d, -1)" % t, ""]
+
+
+def test_cli_closed_pipe_exits_quietly():
+    # `voaplus shortvec E8 --norm 6 | head -1`: far more output than a pipe
+    # buffer holds, so the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voaplus", "shortvec", "E8", "--norm", "6"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"6720 vectors of norm 6\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_cli_decompose_and_orbit(capsys):
     assert main(["decompose", "2A1"]) == 0
     out = capsys.readouterr().out
@@ -177,6 +202,19 @@ def test_cli_input_file_wrong_entry_types(tmp_path, capsys, doc):
     for verb in ("analyze", "odd"):
         assert main([verb, str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_unreadable_input_and_empty_coset_field(tmp_path, capsys):
+    # a directory and a file that is not UTF-8 are bad input, not crashes
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"gram": [[2]], "name": "\xe9"}')
+    for spec in (str(tmp_path), str(latin1)):
+        assert main(["analyze", spec]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+    # an empty --coset field is not a zero
+    for coset in ("0,,0", "0,", ",0"):
+        assert main(["shortvec", "A2", "--norm", "2", "--coset", coset]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_parse_spec_code_words_keep_leading_zeros(capsys):
@@ -297,3 +335,14 @@ def test_perfbench_trace_runs_against_src(tmp_path):
     assert traced.stdout == plain.stdout
     doc = json.loads(spans.read_text(encoding="utf-8"))
     assert "lattice.offsets_cache.hits" in doc["counts"]
+
+
+def test_bench_scripts_run_against_src():
+    # bench_shortvec exits 1 when a vector count differs from its known value
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for args in (["bench_shortvec.py", "--repeat", "1"],
+                 ["bench_isometry.py", "--repeat", "1", "--max-rank", "6"]):
+        done = subprocess.run(
+            [sys.executable, str(REPO / "bench" / args[0])] + args[1:],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

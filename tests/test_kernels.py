@@ -4,11 +4,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import naive_vectors_of_norm, random_posdef_gram
 from voaplus import make_lattice, vectors_of_norm
-from voaplus.kernels import enumerate_offsets, ldl_decompose
+from voaplus.errors import NotPositiveDefinite
+from voaplus.intmat import det_bareiss, dot, ldl
+from voaplus.kernels import enumerate_offsets
 
 
 def core_vectors(gram, rep, m):
@@ -18,18 +21,57 @@ def core_vectors(gram, rep, m):
 
 
 def test_ldl_reconstructs_gram():
-    gram = [[4, -2, 0], [-2, 4, -2], [0, -2, 4]]
-    d, u = ldl_decompose(gram)
-    n = 3
-    # gram = sum_i d[i] * row_i row_i' with row_i = e_i + u[i]
-    rows = [[(1.0 if j == i else 0.0) + u[i][j] for j in range(n)]
-            for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            rebuilt = sum(d[i] * rows[i][a] * rows[i][b] for i in range(n))
-            assert math.isclose(rebuilt, gram[a][b], rel_tol=1e-9,
-                                abs_tol=1e-9)
-    assert all(x > 0 for x in d)
+    # gram[a][b] = sum_i lam[a][i] lam[b][i] / (d[i] d[i+1]), exactly
+    rng = random.Random(7)
+    grams = [[[4, -2, 0], [-2, 4, -2], [0, -2, 4]], [[3]]]
+    grams += [g for g in (random_posdef_gram(rng, n) for n in (2, 3, 4, 5, 6)
+                          for _ in range(10)) if g is not None]
+    for gram in grams:
+        n = len(gram)
+        d, lam = ldl(gram)
+        assert d[0] == 1
+        for k in range(n):
+            assert lam[k][k] == d[k + 1] > 0
+            assert d[k + 1] == det_bareiss([row[:k + 1]
+                                            for row in gram[:k + 1]])
+            assert not any(lam[k][k + 1:])
+        for a in range(n):
+            for b in range(n):
+                assert gram[a][b] == sum(
+                    Fraction(lam[a][i] * lam[b][i], d[i] * d[i + 1])
+                    for i in range(n))
+
+
+@pytest.mark.parametrize("gram, minor, value", [
+    ([[2, 2], [2, 2]], 2, 0), ([[1, 2], [2, 1]], 2, -3), ([[0]], 1, 0),
+    ([[-1]], 1, -1), ([[2, 1, 0], [1, 2, 3], [0, 3, 2]], 3, -12)])
+def test_ldl_refuses_at_first_nonpositive_minor(gram, minor, value):
+    with pytest.raises(NotPositiveDefinite,
+                       match="leading minor %d is %d$" % (minor, value)):
+        ldl(gram)
+    with pytest.raises(NotPositiveDefinite):
+        make_lattice(gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5))
+def test_offsets_survive_skewed_basis(seed, n):
+    # columns of an upper-unitriangular U with huge multipliers span the
+    # same lattice: the new Gram is U' G U and x' maps back to U x'
+    rng = random.Random(seed)
+    gram = random_posdef_gram(rng, n, even=True)
+    assume(gram is not None)
+    u = [[int(i == j) if j <= i
+          else rng.choice((1, -1)) * rng.randrange(2 ** 40, 2 ** 62)
+          for j in range(n)] for i in range(n)]
+    cols = list(zip(*u))
+    skewed = [[dot(ci, [dot(row, cj) for row in gram]) for cj in cols]
+              for ci in cols]
+    zero = (Fraction(0),) * n
+    for m in (Fraction(2), Fraction(4)):
+        mapped = sorted(tuple(dot(row, xs) for row in u)
+                        for xs in enumerate_offsets(skewed, zero, m))
+        assert mapped == enumerate_offsets(gram, zero, m)
 
 
 def test_int64_guard_reroutes_to_bigint():
