@@ -18,7 +18,7 @@ and the acceptance suite need, each with its pinned invariants.
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import intmat
@@ -299,12 +299,10 @@ def lattice_from_file(path):
     raise ParseError("input file needs a 'gram' or 'length' field")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str            # "lattice" | "code" | "odd"
-    constructor: str
-    expected: dict = field(default_factory=dict)
+class CatalogEntry(namedtuple("CatalogEntry",
+                              "name kind constructor expected")):
+    """kind: "lattice" | "code" | "odd"; expected: the pinned invariants."""
+    __slots__ = ()
 
     def build(self):
         return parse_spec(self.constructor)

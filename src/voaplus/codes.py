@@ -8,7 +8,7 @@ headroom), so weight distributions are settled by enumerating all 2^k
 words.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (CrossCheckFailed, DimensionTooLarge, LengthMismatch,
@@ -46,10 +46,12 @@ def _word_sort_key(n):
     return key
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    length: int
-    basis: tuple
+class BinaryCode(namedtuple("BinaryCode", "length basis")):
+    """A code of the given length with its canonical (RREF) basis.
+
+    No __slots__: the cached properties store their values in the instance
+    __dict__.
+    """
 
     @property
     def dimension(self):

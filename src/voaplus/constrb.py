@@ -10,23 +10,49 @@ bound; we assert that on every coset we touch, which turns a theoretical
 equality into a free runtime oracle.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from . import intmat
-from .codes import BinaryCode, _rref, make_code
+from .codes import _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import Coset, Lattice, require_even, scaled_vectors_of_norm
+from .lattice import Lattice, require_even, scaled_vectors_of_norm
 
 
-@dataclass(frozen=True)
 class FrameCosets:
-    """Cosets whose norm-2 count meets the bound 2n + |roots| exactly."""
-    cosets: tuple
-    counts: tuple
-    bound: int
+    """Cosets whose norm-2 count meets the bound 2n + |roots| exactly.
+
+    A plain class, not a namedtuple: len and in speak of the cosets, and
+    namedtuple's _make and _replace check len against the field count.
+    """
+    __slots__ = ("cosets", "counts", "bound")
+
+    def __init__(self, cosets, counts, bound):
+        object.__setattr__(self, "cosets", cosets)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FrameCosets is immutable")
+
+    def _key(self):
+        return (self.cosets, self.counts, self.bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "FrameCosets(cosets=%r, counts=%r, bound=%r)" % self._key()
+
+    def __reduce__(self):
+        return (FrameCosets, self._key())
 
     def __len__(self):
         return len(self.cosets)
@@ -35,17 +61,14 @@ class FrameCosets:
         return coset in self.cosets
 
 
-@dataclass(frozen=True)
-class FrameDecomposition:
+class FrameDecomposition(namedtuple("FrameDecomposition",
+                                      "coset frame code signs")):
     """A Construction-B witness: coset, orthogonal frame, code, signs.
 
     Rebuilding the lattice from (code, signs * frame) reproduced the
     original exactly; extract_code enforces that before returning.
     """
-    coset: Coset
-    frame: tuple
-    code: BinaryCode
-    signs: tuple
+    __slots__ = ()
 
 
 def _generator_rows(yframe, code, signs=None):
@@ -271,11 +294,10 @@ def decompose(lat):
                  for c in fc.cosets)
 
 
-@dataclass(frozen=True)
-class StructuralCosets:
+class StructuralCosets(namedtuple("StructuralCosets",
+                                    "twist_plus twist_minus")):
     """Quarter-frame-sum cosets marking the twisted-orbit conditions."""
-    twist_plus: Coset
-    twist_minus: Coset
+    __slots__ = ()
 
 
 def structural_cosets(lat, dec):

@@ -15,7 +15,7 @@ and w mod 2 names the coset of w/2.  M is enumerated once, in an
 LLL-reduced basis, and its vectors are bucketed by coset.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from itertools import product
@@ -32,11 +32,10 @@ def _as_fraction_tuple(vec):
     return tuple(Fraction(x) for x in vec)
 
 
-@dataclass(frozen=True)
-class Coset:
-    """An element of dual/lattice with its canonical representative."""
-    rep: tuple
-    order2: bool
+class Coset(namedtuple("Coset", "rep order2")):
+    """An element of dual/lattice: its canonical representative rep (a
+    tuple of Fractions) and order2, whether twice it lies in the lattice."""
+    __slots__ = ()
 
     def label(self):
         return "(" + ", ".join(str(c) for c in self.rep) + ")"

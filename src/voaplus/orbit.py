@@ -15,20 +15,20 @@ that group with the order-<=2 cosets that carry the signed classes:
 factors of the Gram matrix).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codes import _rref, rm14_subcode
-from .constrb import FrameCosets, decompose, frame_cosets, structural_cosets
+from .constrb import decompose, frame_cosets, structural_cosets
 from .errors import ConditionABC, CrossCheckFailed, NotPowerOfTwo
-from .lattice import Coset, require_even
+from .lattice import require_even
 
 
-@dataclass(frozen=True)
-class ModuleClass:
-    kind: str              # "plain" | "signed" | "twisted"
-    coset: Coset = None    # for plain/signed
-    sign: str = None       # "+" or "-" for signed/twisted
-    count: int = 1         # multiplicity; twisted classes are pooled
+class ModuleClass(namedtuple("ModuleClass", "kind coset sign count",
+                             defaults=(None, None, 1))):
+    """kind: "plain" | "signed" | "twisted"; coset: for plain/signed;
+    sign: "+" or "-" for signed/twisted; count: multiplicity, since twisted
+    classes are pooled."""
+    __slots__ = ()
 
     def label(self):
         if self.kind == "plain":
@@ -38,33 +38,27 @@ class ModuleClass:
         return "[chi]^%s x%d" % (self.sign, self.count)
 
 
-@dataclass(frozen=True)
-class ModuleCounts:
-    untwisted_signed: int
-    untwisted_plain: int
-    twisted: int
+class ModuleCounts(namedtuple("ModuleCounts",
+                              "untwisted_signed untwisted_plain twisted")):
+    __slots__ = ()
 
     @property
     def total(self):
         return self.untwisted_signed + self.untwisted_plain + self.twisted
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
-    holds: bool
-    coset: Coset = None
-    detail: str = ""
+class ConditionWitness(namedtuple("ConditionWitness", "holds coset detail",
+                                  defaults=(None, ""))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    classes: tuple
-    frame_coset_set: FrameCosets
-    twisted_sign: str            # "+", "-" or None
-    twisted_count: int           # 0 when no twisted classes in the orbit
-    cond_a: bool                 # length-8 construction with all-one word
-    cond_b: bool                 # length-16 construction with RM(1,4) subcode
-    cond_c: bool                 # the even unimodular rank-8 lattice
+class OrbitReport(namedtuple("OrbitReport", "classes frame_coset_set "
+                             "twisted_sign twisted_count cond_a cond_b cond_c")):
+    """twisted_sign: "+", "-" or None; twisted_count: 0 when no twisted
+    classes are in the orbit; cond_a: length-8 construction with all-one
+    word; cond_b: length-16 construction with RM(1,4) subcode; cond_c: the
+    even unimodular rank-8 lattice."""
+    __slots__ = ()
 
     @property
     def size(self):
@@ -200,11 +194,8 @@ def module_orbit(lat):
                        cond_a=ca.holds, cond_b=cb.holds, cond_c=cc.holds)
 
 
-@dataclass(frozen=True)
-class FusionSpace:
-    size: int
-    dim: int
-    gl_order: int
+class FusionSpace(namedtuple("FusionSpace", "size dim gl_order")):
+    __slots__ = ()
 
 
 def gl2_order(dim):

@@ -10,15 +10,15 @@ report that uses it.  Lattices with roots get no order claim at all: the
 stabilizer then contains continuous factors this tool does not model.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .constrb import FrameCosets, decompose, frame_cosets
+from .constrb import decompose, frame_cosets
 from .errors import (NotOdd, NotUnimodular, RankBoundExceeded,
                      SplitCheckFailed)
-from .lattice import (Coset, Lattice, canonicalize_coset,
+from .lattice import (Lattice, canonicalize_coset,
                       orthogonal_group_order, require_even, sublattice_gram)
-from .orbit import FusionSpace, OrbitReport, fusion_space, module_orbit
+from .orbit import fusion_space, module_orbit
 from . import intmat
 
 NOTE_STABILIZER = ("stabilizer order for rootless lattices uses the derived "
@@ -27,26 +27,17 @@ NOTE_TWISTED = ("twisted class multiplicities use the derived index "
                 "|(L meet 2L*) / 2L|")
 
 
-@dataclass(frozen=True)
-class AutReport:
-    lattice: Lattice
-    rank: int
-    det: int
-    root_count: int
-    is_2_elementary: bool
-    is_totally_even: bool
-    frame_coset_set: FrameCosets
-    decompositions: tuple
-    orbit: OrbitReport
-    fusion: FusionSpace          # None when a structural condition holds
-    orbit_size: int
-    index_over_stabilizer: int   # equals orbit_size (orbit-stabilizer)
-    isometry_order: int          # |O(L)|, None above the rank bound
-    stabilizer_order: int        # None with a reason when unavailable
-    stabilizer_reason: str
-    aut_order: int               # None when stabilizer_order is
-    exceeds_stabilizer: bool
-    notes: tuple
+class AutReport(namedtuple("AutReport", (
+        "lattice rank det root_count is_2_elementary is_totally_even "
+        "frame_coset_set decompositions orbit fusion orbit_size "
+        "index_over_stabilizer isometry_order stabilizer_order "
+        "stabilizer_reason aut_order exceeds_stabilizer notes"))):
+    """fusion: a FusionSpace, None when a structural condition holds;
+    index_over_stabilizer equals orbit_size (orbit-stabilizer);
+    isometry_order: |O(L)|, None above the rank bound; stabilizer_order:
+    None, with stabilizer_reason, when unavailable; aut_order: None when
+    stabilizer_order is."""
+    __slots__ = ()
 
     @property
     def cond_a(self):
@@ -134,12 +125,9 @@ def analyze(lat, bound=None):
     )
 
 
-@dataclass(frozen=True)
-class UnimodularVerdict:
-    rank: int
-    orbit_size: int
-    index: int
-    description: str
+class UnimodularVerdict(namedtuple("UnimodularVerdict",
+                                   "rank orbit_size index description")):
+    __slots__ = ()
 
 
 def unimodular_report(lat, bound=None):
@@ -159,17 +147,13 @@ def unimodular_report(lat, bound=None):
                              description=desc)
 
 
-@dataclass(frozen=True)
-class OddReport:
-    lattice: Lattice
-    even_part: Lattice
-    even_basis: tuple            # rows over the original basis
-    odd_rep: tuple               # a vector of odd norm, original coordinates
-    odd_rep_norm: Fraction
-    odd_coset: Coset             # class of the odd rep over the even part
-    odd_coset_in_orbit: bool
-    even_report: AutReport
-    aut_order: int               # 2 * aut(even)/orbit when computable
+class OddReport(namedtuple("OddReport", (
+        "lattice even_part even_basis odd_rep odd_rep_norm odd_coset "
+        "odd_coset_in_orbit even_report aut_order"))):
+    """even_basis: rows over the original basis; odd_rep: a vector of odd
+    norm, in original coordinates; odd_coset: the class of odd_rep over the
+    even part; aut_order: 2 * aut(even)/orbit when computable."""
+    __slots__ = ()
 
 
 def even_sublattice(lat):

@@ -9,7 +9,7 @@ Internal-assertion errors surface as failed checks rather than aborting the
 sweep.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
@@ -19,11 +19,8 @@ from .orbit import twisted_character_count, twisted_character_count_mod2
 from .report import analyze, odd_split
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(namedtuple("Check", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
 
 def _code_checks(entry, code, out):

@@ -338,11 +338,27 @@ def test_perfbench_trace_runs_against_src(tmp_path):
 
 
 def test_bench_scripts_run_against_src():
-    # bench_shortvec exits 1 when a vector count differs from its known value
+    # bench_shortvec exits 1 when a vector count differs from its known
+    # value, bench_startup when the import pulls in a guarded module
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for args in (["bench_shortvec.py", "--repeat", "1"],
-                 ["bench_isometry.py", "--repeat", "1", "--max-rank", "6"]):
+                 ["bench_isometry.py", "--repeat", "1", "--max-rank", "6"],
+                 ["bench_startup.py", "--repeat", "1"]):
         done = subprocess.run(
             [sys.executable, str(REPO / "bench" / args[0])] + args[1:],
             env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["voaplus.cli", "voaplus"])
+def test_import_leaves_heavy_stdlib_modules_out(module):
+    # value types are namedtuples: importing dataclasses would pull in
+    # inspect, ast, dis and tokenize, about 30 ms of every cold CLI run.
+    # -S keeps the interpreter's own site hooks out of the picture.
+    guarded = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    code = ("import sys, %s; print(' '.join(m for m in %r if m in sys.modules))"
+            % (module, guarded))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
