@@ -27,6 +27,10 @@ from .constrb import build_construction_b
 from .errors import ParseError, UnknownName
 from .lattice import Lattice, direct_sum, make_lattice, rescale
 
+# Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...):
+# 16 times the largest catalog rank, far below sizes that exhaust memory.
+SIZE_LIMIT = 256
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<word>[0-9]*[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<int>-?[0-9]+)"
                        r"|(?P<sym>[+*(),\[\]]))")
@@ -53,6 +57,15 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _size(digits, pos):
+    """The integer written as ``digits``, refused above SIZE_LIMIT."""
+    if (len(digits.lstrip("0")) > len(str(SIZE_LIMIT))
+            or int(digits) > SIZE_LIMIT):
+        raise ParseError("size argument exceeds the limit %d" % SIZE_LIMIT,
+                         position=pos)
+    return int(digits)
 
 
 def _cartan_a(n):
@@ -109,13 +122,13 @@ def _atom_from_word(word, pos):
         return rm14()
     m = re.fullmatch(r"A([0-9]+)", word)
     if m:
-        return _cartan_a(int(m.group(1)))
+        return _cartan_a(_size(m.group(1), pos))
     m = re.fullmatch(r"D([0-9]+)", word)
     if m:
-        return _d_lattice(int(m.group(1)))
+        return _d_lattice(_size(m.group(1), pos))
     m = re.fullmatch(r"Z([0-9]+)", word)
     if m:
-        n = int(m.group(1))
+        n = _size(m.group(1), pos)
         return make_lattice([[1 if i == j else 0 for j in range(n)]
                              for i in range(n)])
     raise UnknownName("unknown name %r" % word, position=pos)
@@ -223,7 +236,7 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected an integer", position=pos)
         self.expect_sym(")")
-        return int(val)
+        return _size(val, pos)
 
     def matrix_literal(self):
         self.expect_sym("[")
@@ -255,6 +268,7 @@ class _Parser:
         kind, n, pos = self.next()
         if kind != "int":
             raise ParseError("expected the code length", position=pos)
+        n = _size(n, pos)
         gens = []
         while True:
             kind, val, pos = self.next()
@@ -266,7 +280,7 @@ class _Parser:
             if kind != "int" or set(val) - {"0", "1"}:
                 raise ParseError("expected a 0/1 word", position=pos)
             gens.append(val)
-        return make_code(int(n), gens)
+        return make_code(n, gens)
 
 
 def parse_spec(text):

@@ -69,9 +69,10 @@ def parse_coset(lat, text):
     return canonicalize_coset(lat, vec)
 
 
-def emit(args, text_fn, json_obj):
+def emit(args, text_fn, json_fn):
+    """Print text_fn(), or json_fn() with --format json: only one is built."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        print(json.dumps(json_fn(), indent=2, sort_keys=True))
     else:
         print(text_fn())
     return 0
@@ -81,7 +82,7 @@ def cmd_analyze(args):
     lat = load_lattice(args.spec)
     rep = analyze(lat, rank_bound())
     return emit(args, lambda: serialize.aut_report_text(rep),
-                serialize.aut_report_json(rep))
+                lambda: serialize.aut_report_json(rep))
 
 
 def cmd_shortvec(args):
@@ -95,15 +96,14 @@ def cmd_shortvec(args):
         lines += ["  " + serialize.vec_text(v) for v in vecs]
         return "\n".join(lines)
 
-    obj = {
+    return emit(args, text, lambda: {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "short_vectors",
         "norm": serialize.frac_str(m),
         "coset": serialize.coset_json(coset) if coset else None,
         "count": len(vecs),
         "vectors": [serialize.vec_json(v) for v in vecs],
-    }
-    return emit(args, text, obj)
+    })
 
 
 def cmd_rl(args):
@@ -117,10 +117,9 @@ def cmd_rl(args):
                   for c, n in zip(fc.cosets, fc.counts)]
         return "\n".join(lines)
 
-    obj = {"schema_version": serialize.SCHEMA_VERSION,
-           "kind": "frame_cosets"}
-    obj.update(serialize.frame_cosets_json(fc))
-    return emit(args, text, obj)
+    return emit(args, text, lambda: {
+        "schema_version": serialize.SCHEMA_VERSION, "kind": "frame_cosets",
+        **serialize.frame_cosets_json(fc)})
 
 
 def cmd_decompose(args):
@@ -142,10 +141,9 @@ def cmd_decompose(args):
                          % "".join("+" if s > 0 else "-" for s in d.signs))
         return "\n".join(lines)
 
-    obj = {"schema_version": serialize.SCHEMA_VERSION,
-           "kind": "decompositions",
-           "items": [serialize.decomposition_json(d) for d in decs]}
-    return emit(args, text, obj)
+    return emit(args, text, lambda: {
+        "schema_version": serialize.SCHEMA_VERSION, "kind": "decompositions",
+        "items": [serialize.decomposition_json(d) for d in decs]})
 
 
 def cmd_orbit(args):
@@ -157,16 +155,16 @@ def cmd_orbit(args):
         lines += ["  " + c.label() for c in orbit.classes]
         return "\n".join(lines)
 
-    obj = {"schema_version": serialize.SCHEMA_VERSION, "kind": "orbit"}
-    obj.update(serialize.orbit_json(orbit))
-    return emit(args, text, obj)
+    return emit(args, text, lambda: {
+        "schema_version": serialize.SCHEMA_VERSION, "kind": "orbit",
+        **serialize.orbit_json(orbit)})
 
 
 def cmd_odd(args):
     lat = load_lattice(args.spec)
     rep = odd_split(lat, rank_bound())
     return emit(args, lambda: serialize.odd_report_text(rep),
-                serialize.odd_report_json(rep))
+                lambda: serialize.odd_report_json(rep))
 
 
 def cmd_selftest(args):
@@ -181,13 +179,11 @@ def cmd_selftest(args):
         lines.append("%d checks, %d failed" % (len(checks), len(failed)))
         return "\n".join(lines)
 
-    obj = {"schema_version": serialize.SCHEMA_VERSION,
-           "kind": "selftest",
-           "passed": len(checks) - len(failed),
-           "failed": len(failed),
-           "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                      for c in checks]}
-    emit(args, text, obj)
+    emit(args, text, lambda: {
+        "schema_version": serialize.SCHEMA_VERSION, "kind": "selftest",
+        "passed": len(checks) - len(failed), "failed": len(failed),
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                   for c in checks]})
     return 0 if not failed else 4
 
 

@@ -1,10 +1,11 @@
 """Exact integer and rational matrix routines.
 
-Determinants and adjugates (Bareiss), Hermite and Smith normal forms,
-dense Fraction inverses and the integral LLL reduction of a Gram matrix,
-all over plain Python arbitrary-precision numbers.  Matrices are lists of
-row lists.  Sizes in this package stay tiny (rank <= 20), so the
-straightforward algorithms are the right ones.
+Determinants and adjugates (Bareiss), Hermite normal forms, Smith forms
+as (diag, U) with U the left transform, dense Fraction inverses and the
+integral LLL reduction of a Gram matrix, all over plain Python
+arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
+this package stay tiny (rank <= 20), so the straightforward algorithms are
+the right ones.
 """
 
 import math
@@ -199,33 +200,16 @@ def same_row_lattice(gens_a, gens_b):
 def smith_with_left(mat):
     """Smith form of a nonsingular integer matrix, tracking left transforms.
 
-    Returns (diag, U, Uinv) where U*mat*V == diag(d) for some untracked
-    unimodular V, the d_i are positive with d_1 | d_2 | ... | d_n, and
-    Uinv is the exact inverse of U.
+    Returns (diag, U) where U*mat*V == diag(d) for some untracked
+    unimodular V and the d_i are positive with d_1 | d_2 | ... | d_n.
     """
     n = len(mat)
-    a = [list(row) for row in mat]
-    u = identity(n)
-    uinv = identity(n)
+    # rows of [mat | I]: row operations build U in the right half, column
+    # operations touch the left half only
+    a = [list(row) + e for row, e in zip(mat, identity(n))]
 
-    def row_add(i, j, q):  # row_i += q * row_j ; uinv col_j -= q * col_i
-        for c in range(n):
-            a[i][c] += q * a[j][c]
-            u[i][c] += q * u[j][c]
-        for r in range(n):
-            uinv[r][j] -= q * uinv[r][i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(n):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def row_neg(i):
-        a[i] = [-v for v in a[i]]
-        u[i] = [-v for v in u[i]]
-        for r in range(n):
-            uinv[r][i] = -uinv[r][i]
+    def row_add(i, j, q):  # row_i += q * row_j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
 
     def col_add(j, i, q):  # col_j += q * col_i (right transform, untracked)
         for r in range(n):
@@ -248,8 +232,7 @@ def smith_with_left(mat):
                             best = (i, j)
                 if best is None:
                     raise RankDeficient("singular matrix in Smith reduction")
-                if best[0] != k:
-                    row_swap(k, best[0])
+                a[k], a[best[0]] = a[best[0]], a[k]
                 if best[1] != k:
                     col_swap(k, best[1])
                 dirty = False
@@ -266,7 +249,7 @@ def smith_with_left(mat):
                 if not dirty:
                     break
             if a[k][k] < 0:
-                row_neg(k)
+                a[k] = [-x for x in a[k]]
 
     # Diagonalize; whenever the divisibility chain d_i | d_{i+1} fails, fold
     # row i+1 into row i (putting gcd(d_i, d_{i+1}) within reach) and
@@ -279,8 +262,7 @@ def smith_with_left(mat):
             break
         row_add(bad, bad + 1, 1)
         diagonalize()
-    diag = [a[i][i] for i in range(n)]
-    return diag, u, uinv
+    return [a[i][i] for i in range(n)], [row[n:] for row in a]
 
 
 def adjugate(mat):

@@ -11,17 +11,19 @@ The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
 dual vector v has 2v in L exactly when w = 2v lies in
 M = L cap 2L* = {x in Z^n : G x = 0 mod 2}, and <v, v> = 2 exactly when
 <w, w> = 8.  So those vectors are the w/2 for the norm-8 vectors w of M,
-and w mod 2 names the coset of w/2.  M is enumerated once, in an
-LLL-reduced basis, and its vectors are bucketed by coset.
+and w mod 2 names the coset of w/2.  M is twice the union of the
+order-<=2 cosets, so its basis comes from the Smith form: the 2 e_i and
+twice the representatives of the order-2 generators.  M is enumerated
+once, in an LLL-reduced basis, and its vectors are bucketed by coset.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from itertools import product
 
 from . import intmat, kernels
-from .codes import _rref
 from .errors import (NormNegative, NotDualVector, NotEven, NotIntegral,
                      NotPositiveDefinite, NotSymmetric, RankBoundExceeded)
 
@@ -156,22 +158,20 @@ class DiscriminantGroup:
 
     With U * G * V = diag(d), the map x -> U(Gx) mod d identifies
     dual/lattice with the direct sum of Z/d_i; the canonical representative
-    of a class a is G^-1 U^-1 a with each a_i reduced into [0, d_i).
+    of a class a is (UG)^-1 a with each a_i reduced into [0, d_i).
     """
 
     def __init__(self, lat):
         self.lattice = lat
-        diag, u, uinv = intmat.smith_with_left([list(r) for r in lat.gram])
+        diag, u = intmat.smith_with_left([list(r) for r in lat.gram])
         self.invariant_factors = tuple(diag)
         self._u = u
-        self._uinv = uinv
+        # (rows, |det G|) with rows = |det G| (UG)^-1
+        self._reps = intmat.adjugate([lat.gram_times(r) for r in u])
 
     @property
     def order(self):
-        p = 1
-        for d in self.invariant_factors:
-            p *= d
-        return p
+        return math.prod(self.invariant_factors)
 
     def element_of(self, vec):
         """Group element (a_i mod d_i) of a dual vector (ints or Fractions)."""
@@ -187,9 +187,8 @@ class DiscriminantGroup:
                      for row, d in zip(self._u, self.invariant_factors))
 
     def rep_of_element(self, a):
-        y = [intmat.dot(row, a) for row in self._uinv]
-        rows, den = self.lattice._dual_scaled
-        return tuple(Fraction(intmat.dot(row, y), den) for row in rows)
+        rows, den = self._reps
+        return tuple(Fraction(intmat.dot(row, a), den) for row in rows)
 
     def coset_of_element(self, a):
         d = self.invariant_factors
@@ -229,30 +228,26 @@ def _cached_offsets(lat, rep, m):
     return tuple(kernels.enumerate_offsets(lat.gram, rep, m))
 
 
-def _torsion2_basis(gram):
-    """Rows over L's basis spanning M = {x : G x = 0 mod 2}.
+def _torsion2_basis(lat):
+    """HNF basis of M = {x : G x = 0 mod 2}, rows over L's basis.
 
-    Row f is 2 e_f when f is a pivot column of G mod 2, else the 0/1 lift of
-    the kernel vector with x_f = 1 and every other free coordinate 0.
+    M = 2T for T = {v in L* : 2v in L}, and T is spanned by L and the
+    representatives of the classes (d_i/2) e_i, d_i even.
     """
-    n = len(gram)
-    rows = _rref([sum(1 << j for j in range(n) if gram[i][j] % 2)
-                  for i in range(n)])
-    pivots = {(r & -r).bit_length() - 1: r for r in rows}
-    basis = []
-    for f in range(n):
-        if f in pivots:
-            basis.append([2 * (j == f) for j in range(n)])
-        else:
-            basis.append([pivots[j] >> f & 1 if j in pivots else int(j == f)
-                          for j in range(n)])
-    return basis
+    n = lat.rank
+    disc = lat.discriminant
+    gens = [[2 * (j == i) for j in range(n)] for i in range(n)]
+    for i, d in enumerate(disc.invariant_factors):
+        if d % 2 == 0:
+            a = [d // 2 * (j == i) for j in range(n)]
+            gens.append([int(2 * x) for x in disc.rep_of_element(a)])
+    return intmat.hnf(gens, n)
 
 
 def _torsion2_sweep(lat):
     """See Lattice.torsion2_norm2_offsets and the module docstring."""
     n = lat.rank
-    basis = _torsion2_basis(lat.gram)
+    basis = _torsion2_basis(lat)
     reduced, h = intmat.lll_gram(sublattice_gram(lat, basis))
     # the reduced basis of M, rows over L's basis
     rows = [[intmat.dot(hi, col) for col in zip(*basis)] for hi in h]

@@ -84,6 +84,8 @@ def twisted_character_count_mod2(lat):
     (L meet 2L*)/2L is the kernel of G mod 2 on F_2^n, so this counts the
     same |(L meet 2L*)/2L| = #{x in L*/L : 2x = 0} = 2^(number of even
     invariant factors), by GF(2) elimination instead of the Smith form.
+    The package's only GF(2) route: all else, M's basis included, reads
+    the 2-torsion off the Smith form, so the two routes stay independent.
     """
     require_even(lat)
     rows = [sum(1 << j for j, x in enumerate(r) if x % 2) for r in lat.gram]

@@ -208,9 +208,9 @@ def odd_split(lat, bound=None):
         raise SplitCheckFailed("the odd representative has norm %s"
                                % alpha_norm)
 
+    # alpha = e_i0, so its coordinates over the even part are row i0 of B^-1
     binv = intmat.invert_fraction([list(r) for r in basis])
-    alpha_sub = tuple(sum(Fraction(alpha[j]) * binv[j][i] for j in range(n))
-                      for i in range(n))
+    alpha_sub = tuple(binv[alpha.index(1)])
     coset = canonicalize_coset(sub, alpha_sub)
     rep = analyze(sub, bound)
     in_orbit = coset in rep.frame_coset_set

@@ -47,9 +47,23 @@ def mat_mul(a, b):
             for ra in a]
 
 
-def naive_isometry_order(gram, box=8):
-    """|O(L)| by unpruned brute force over candidate images (rank <= 3)."""
+def principal_minor(gram, j):
+    """Determinant of gram without row and column j (1 at rank 1)."""
+    rest = [i for i in range(len(gram)) if i != j]
+    return ldl([[gram[a][b] for b in rest] for a in rest])[0][-1]
+
+
+def naive_isometry_order(gram, box=None):
+    """|O(L)| by unpruned brute force over candidate images (rank <= 3).
+
+    The default box holds every candidate: a vector x of norm m has
+    x_j^2 <= m (G^-1)_jj, the principal minor without j over det G.
+    """
     n = len(gram)
+    if box is None:
+        det = ldl(gram)[0][n]
+        box = max(math.isqrt(gram[i][i] * principal_minor(gram, j) // det)
+                  for i in range(n) for j in range(n))
     cands = [naive_vectors_of_norm(gram, [0] * n, gram[i][i], box)
              for i in range(n)]
     cands = [[tuple(int(c) for c in v) for v in cs] for cs in cands]

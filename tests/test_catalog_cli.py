@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from voaplus import BinaryCode, CATALOG, Lattice, catalog_entry, parse_spec
+from voaplus import (BinaryCode, CATALOG, Lattice, catalog_entry, parse_spec,
+                     serialize)
+from voaplus.catalog import SIZE_LIMIT
 from voaplus.cli import main
 from voaplus.errors import LengthMismatch, ParseError, UnknownName
 
@@ -157,6 +160,37 @@ def test_cli_exit_codes(capsys):
     assert main(["odd", "A2"]) == 3                       # even to odd
     assert main(["shortvec", "A2", "--norm", "-1"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", [
+    "A1000000000000", "D1000000000000", "Z99999999", "lb(zero(100000000))",
+    "lb(rep(1000000000000))", "lb(code(1000000000000))", "A257"])
+def test_cli_refuses_oversized_constructors(capsys, spec):
+    t0 = time.perf_counter()
+    assert main(["analyze", spec]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the limit %d" % SIZE_LIMIT in err
+
+
+def test_parse_spec_accepts_sizes_up_to_the_limit():
+    assert parse_spec("zero(%d)" % SIZE_LIMIT).length == SIZE_LIMIT
+    assert parse_spec("A%03d" % 3).rank == 3   # leading zeros are fine
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "2A1"], ["odd", "Z1"], ["rl", "2A1"], ["decompose", "2A1"],
+    ["orbit", "2A1"], ["shortvec", "2A1", "--norm", "2", "--coset", "1/2"]],
+    ids=lambda argv: argv[0])
+def test_cli_text_mode_builds_no_json(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("JSON built in text mode")
+    for name in ("aut_report_json", "odd_report_json", "frame_cosets_json",
+                 "decomposition_json", "orbit_json", "vec_json"):
+        monkeypatch.setattr(serialize, name, refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_cli_lattice_file_input(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_smith_form_properties():
         if intmat.det_bareiss(m) == 0:
             continue
         seen += 1
-        diag, u, uinv = intmat.smith_with_left(m)
+        diag, u = intmat.smith_with_left(m)
         prod = 1
         for i, d in enumerate(diag):
             assert d > 0
@@ -82,8 +82,6 @@ def test_smith_form_properties():
                 assert d % diag[i - 1] == 0
         assert prod == abs(intmat.det_bareiss(m))
         assert abs(intmat.det_bareiss(u)) == 1
-        ident = mat_mul(u, uinv)
-        assert ident == intmat.identity(n)
         # U*m has the same row span as diag(d): U*m*V = D with V unimodular
         um = mat_mul(u, m)
         dmat = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]

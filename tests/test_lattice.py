@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +13,9 @@ from voaplus import (canonicalize_coset, count_norm, direct_sum, make_lattice,
                      vectors_of_norm)
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
                             NotSymmetric, RankBoundExceeded)
+from voaplus.intmat import det_bareiss
 from voaplus.kernels import enumerate_offsets
+from voaplus.lattice import _torsion2_basis
 
 
 def test_make_lattice_examples():
@@ -166,6 +169,52 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
             want = tuple(enumerate_offsets(g, coset.rep, Fraction(2)))
             assert sweep[coset.rep] == want, (g, coset.rep)
             assert count_norm(lat, coset, 2) == len(want)
+
+
+def coset_layer_grams(seed, n, even):
+    """A random Gram matrix of rank n and, for n > 1, the same lattice in
+    a random other basis."""
+    rng = random.Random(seed)
+    gram = None
+    while gram is None:
+        gram = random_posdef_gram(rng, n, hi=12, even=even)
+    if n == 1:
+        return rng, [gram]
+    return rng, [gram, random_unimodular_conjugate(rng, gram, steps=3 * n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       even=st.booleans())
+def test_canonical_rep_maps_back_to_its_element(seed, n, even):
+    rng, grams = coset_layer_grams(seed, n, even)
+    for g in grams:
+        disc = make_lattice(g).discriminant
+        ranges = [range(d) for d in disc.invariant_factors]
+        if disc.order <= 512:
+            elements = list(product(*ranges))
+        else:
+            elements = [tuple(rng.choice(r) for r in ranges)
+                        for _ in range(64)]
+        for a in elements:
+            assert disc.element_of(disc.rep_of_element(a)) == a, (g, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       even=st.booleans())
+def test_torsion2_basis_spans_l_meet_2l_dual(seed, n, even):
+    # rows inside M = {x : G x = 0 mod 2} and index 2^(n - k) in Z^n, k
+    # the number of even invariant factors: together, a basis of M
+    _, grams = coset_layer_grams(seed, n, even)
+    for g in grams:
+        lat = make_lattice(g)
+        basis = _torsion2_basis(lat)
+        assert len(basis) == n
+        for x in basis:
+            assert all(v % 2 == 0 for v in lat.gram_times(x)), (g, x)
+        k = sum(1 for d in lat.discriminant.invariant_factors if d % 2 == 0)
+        assert abs(det_bareiss(basis)) == 2 ** (n - k), g
 
 
 def test_enumeration_symmetry_and_coset_closure():
