@@ -3,9 +3,9 @@ coset short-vector counts, Construction-B decompositions, module-class
 orbits, and the automorphism-group orders they determine."""
 
 from .lattice import (Coset, DiscriminantGroup, Lattice, canonicalize_coset,
-                      count_norm, direct_sum, is_2_elementary,
-                      is_totally_even, make_lattice, orthogonal_group_order,
-                      rescale, same_lattice, vectors_of_norm)
+                      count_norm, direct_sum, make_lattice,
+                      orthogonal_group_order, rescale, same_lattice,
+                      vectors_of_norm)
 from .codes import (BinaryCode, hamming8, has_rm14_subcode, make_code,
                     repetition_code, rm14, rm14_subcode, words_of_weight,
                     zero_code)

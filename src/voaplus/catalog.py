@@ -59,6 +59,14 @@ def _tokenize(text):
     return tokens
 
 
+def _int(digits, pos):
+    """int(digits), or a ParseError above int()'s limit (4300 digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer literal too long", position=pos) from None
+
+
 def _size(digits, pos):
     """The integer written as ``digits``, refused above SIZE_LIMIT."""
     if (len(digits.lstrip("0")) > len(str(SIZE_LIMIT))
@@ -186,7 +194,7 @@ class _Parser:
                     raise ParseError("scaling needs a lattice", position=pos)
                 if kind == "word":
                     return rescale(inner, 2)
-                k = int(val)
+                k = _int(val, pos)
                 if k <= 0:
                     raise ParseError("scale factor must be positive", position=pos)
                 return rescale(inner, k * k)
@@ -248,7 +256,7 @@ class _Parser:
                 kind, val, pos = self.next()
                 if kind != "int":
                     raise ParseError("expected an integer entry", position=pos)
-                row.append(int(val))
+                row.append(_int(val, pos))
                 kind, val, pos = self.next()
                 if kind == "sym" and val == ",":
                     continue

@@ -21,44 +21,9 @@ from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
 from .lattice import Lattice, require_even, scaled_vectors_of_norm
 
 
-class FrameCosets:
-    """Cosets whose norm-2 count meets the bound 2n + |roots| exactly.
-
-    A plain class, not a namedtuple: len and in speak of the cosets, and
-    namedtuple's _make and _replace check len against the field count.
-    """
-    __slots__ = ("cosets", "counts", "bound")
-
-    def __init__(self, cosets, counts, bound):
-        object.__setattr__(self, "cosets", cosets)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrameCosets is immutable")
-
-    def _key(self):
-        return (self.cosets, self.counts, self.bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "FrameCosets(cosets=%r, counts=%r, bound=%r)" % self._key()
-
-    def __reduce__(self):
-        return (FrameCosets, self._key())
-
-    def __len__(self):
-        return len(self.cosets)
-
-    def __contains__(self, coset):
-        return coset in self.cosets
+class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
+    """Cosets whose norm-2 count meets the bound 2n + |roots| exactly."""
+    __slots__ = ()
 
 
 class FrameDecomposition(namedtuple("FrameDecomposition",
@@ -277,10 +242,10 @@ def extract_code(lat, frame, coset):
         raise NoSignPattern("sign parity system is inconsistent")
     signs = tuple(-1 if f else 1 for f in flips)
 
-    # both sides scaled by 2q: the rebuilt generators and the basis of L
+    # scaled by 2q, the basis of L is 2q I, which is its own HNF
     rebuilt = _generator_rows(yframe, code, signs)
     unit = [[2 * q if j == i else 0 for j in range(n)] for i in range(n)]
-    if not intmat.same_row_lattice(rebuilt, unit):
+    if intmat.hnf(rebuilt, n) != unit:
         raise NoSignPattern("rebuilt lattice differs from the original")
     return FrameDecomposition(coset=coset, frame=tuple(frame), code=code,
                               signs=signs)

@@ -1,8 +1,8 @@
 """Exact integer and rational matrix routines.
 
-Determinants and adjugates (Bareiss), Hermite normal forms, Smith forms
-as (diag, U) with U the left transform, dense Fraction inverses and the
-integral LLL reduction of a Gram matrix, all over plain Python
+Fraction-free LDL and adjugates (Bareiss), Hermite normal forms, Smith
+forms as (diag, U) with U the left transform, dense Fraction inverses and
+the integral LLL reduction of a Gram matrix, all over plain Python
 arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
 this package stay tiny (rank <= 20), so the straightforward algorithms are
 the right ones.
@@ -37,31 +37,6 @@ def dot(u, v):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def det_bareiss(mat):
-    """Exact determinant of a square integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def ldl(gram):
@@ -145,28 +120,6 @@ def hnf(rows, ncols=None):
     work = [list(r) for r in rows]
     rank = _hnf_inplace(work, ncols)
     return work[:rank]
-
-
-def solve_integral(basis, target):
-    """Integer coefficients expressing ``target`` over HNF ``basis`` rows.
-
-    Returns the coefficient list, or None when target is outside the row
-    lattice.  ``basis`` must be the output of hnf().
-    """
-    ncols = len(target)
-    rem = list(target)
-    coeffs = []
-    for row in basis:
-        p = next(j for j in range(ncols) if row[j] != 0)
-        if rem[p] % row[p] != 0:
-            return None
-        q = rem[p] // row[p]
-        coeffs.append(q)
-        for j in range(ncols):
-            rem[j] -= q * row[j]
-    if any(rem):
-        return None
-    return coeffs
 
 
 def scaled_integer_rows(vectors):

@@ -326,6 +326,8 @@ def orthogonal_group_order(lat, bound=None):
     if n > bound:
         raise RankBoundExceeded(
             "rank %d exceeds the isometry search bound %d" % (n, bound))
+    # |O(L)| does not depend on the basis: search in an LLL-reduced one
+    lat = Lattice(intmat.lll_gram(lat.gram)[0])
     cands = [_offsets(lat, None, lat.gram[i][i])[1] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(cands[i]))
     g = lat.gram
@@ -377,14 +379,6 @@ def rescale(lat, k):
     if not isinstance(k, int) or k <= 0:
         raise NotIntegral("rescale factor must be a positive integer")
     return Lattice([[k * x for x in row] for row in lat.gram])
-
-
-def is_2_elementary(lat):
-    return lat.is_2_elementary
-
-
-def is_totally_even(lat):
-    return lat.is_totally_even
 
 
 def require_even(lat):

@@ -115,12 +115,12 @@ def condition_a(lat):
     require_even(lat)
     if lat.rank != 8:
         return ConditionWitness(False, detail="rank != 8")
-    fc = frame_cosets(lat)
+    cosets = frame_cosets(lat).cosets
     hit = None
     for dec in decompose(lat):
         has_allone = dec.code.contains_all_one
         sc = structural_cosets(lat, dec)
-        marker_in = sc.twist_minus is not None and sc.twist_minus in fc
+        marker_in = sc.twist_minus is not None and sc.twist_minus in cosets
         if has_allone != marker_in:
             raise CrossCheckFailed(
                 "all-one membership and quarter-offset coset disagree")
@@ -144,12 +144,12 @@ def condition_b(lat):
     require_even(lat)
     if lat.rank != 16:
         return ConditionWitness(False, detail="rank != 16")
-    fc = frame_cosets(lat)
+    cosets = frame_cosets(lat).cosets
     hit = None
     for dec in decompose(lat):
         witness = rm14_subcode(dec.code)
         sc = structural_cosets(lat, dec)
-        marker_in = sc.twist_plus is not None and sc.twist_plus in fc
+        marker_in = sc.twist_plus is not None and sc.twist_plus in cosets
         if (witness is not None) != marker_in:
             raise CrossCheckFailed(
                 "Reed-Muller subcode and quarter-sum coset disagree")

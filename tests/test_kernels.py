@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import naive_vectors_of_norm, random_posdef_gram
+from helpers import det_bareiss, naive_vectors_of_norm, random_posdef_gram
 from voaplus import make_lattice, vectors_of_norm
 from voaplus.errors import NotPositiveDefinite
-from voaplus.intmat import det_bareiss, dot, ldl
+from voaplus.intmat import dot, ldl
 from voaplus.kernels import enumerate_offsets
 
 

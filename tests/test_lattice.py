@@ -5,15 +5,14 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (leaf_count_isometry_order, naive_isometry_order,
-                     naive_vectors_of_norm, random_posdef_gram,
-                     random_unimodular_conjugate)
+from helpers import (det_bareiss, leaf_count_isometry_order,
+                     naive_isometry_order, naive_vectors_of_norm,
+                     random_posdef_gram, random_unimodular_conjugate)
 from voaplus import (canonicalize_coset, count_norm, direct_sum, make_lattice,
                      orthogonal_group_order, parse_spec, rescale, same_lattice,
                      vectors_of_norm)
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
                             NotSymmetric, RankBoundExceeded)
-from voaplus.intmat import det_bareiss
 from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import _torsion2_basis
 
@@ -269,6 +268,18 @@ def test_isometry_order_matches_leaf_count(seed, n):
     assert got == leaf_count_isometry_order(g)
     if n <= 3:
         assert got == naive_isometry_order(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+def test_isometry_order_invariant_under_random_basis_change(seed, n):
+    rng = random.Random(seed)
+    g = random_posdef_gram(rng, n)
+    assume(g is not None)
+    # rank 1 has no basis change but the sign
+    skewed = random_unimodular_conjugate(rng, g) if n > 1 else g
+    assert (orthogonal_group_order(make_lattice(skewed))
+            == orthogonal_group_order(make_lattice(g)))
 
 
 @pytest.mark.parametrize("spec, order", [

@@ -154,7 +154,7 @@ def test_fusion_space_sizes():
 def test_classify_counts_invariant_under_basis_change():
     import random
 
-    from voaplus.intmat import det_bareiss
+    from helpers import det_bareiss
 
     rng = random.Random(808)
     for spec in ["A2", "2A1", "sqrt2*A3", "D4"]:

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import det_bareiss, solve_integral
 from voaplus import (analyze, aut_order, build_construction_b, make_lattice,
                      odd_split, parse_spec, repetition_code, stabilizer_order,
                      unimodular_report, vectors_of_norm)
 from voaplus.errors import NotEven, NotOdd, NotUnimodular
-from voaplus.intmat import det_bareiss, solve_integral
 
 
 def test_stabilizer_order_worked_cases():

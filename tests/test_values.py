@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from voaplus import frame_cosets, hamming8, parse_spec
+from voaplus import hamming8, parse_spec
 from voaplus.catalog import CatalogEntry
 from voaplus.codes import BinaryCode
 from voaplus.constrb import (FrameCosets, FrameDecomposition,
@@ -146,18 +146,6 @@ def test_value_type_defaults_and_repr():
     assert repr(_frame_cosets()) == (
         "FrameCosets(cosets=(Coset(rep=(Fraction(1, 2), Fraction(0, 1)), "
         "order2=True),), counts=(4,), bound=4)")
-
-
-def test_frame_cosets_len_and_contains_speak_of_cosets():
-    fc = _frame_cosets()
-    assert len(fc) == 1 and fc
-    assert _coset("1/2", 0) in fc and _coset(0, 0) not in fc
-    assert not FrameCosets(cosets=(), counts=(), bound=2)
-    real = parse_spec("lb(rep(8))")
-    fc = frame_cosets(real)
-    assert len(fc) == len(fc.cosets) == len(fc.counts) > 0
-    assert all(c in fc for c in fc.cosets)
-    assert real.discriminant.coset_of((0,) * real.rank) not in fc
 
 
 def test_binary_code_properties_cache():
