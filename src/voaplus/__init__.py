@@ -9,10 +9,10 @@ from .lattice import (Coset, DiscriminantGroup, Lattice, canonicalize_coset,
 from .codes import (BinaryCode, hamming8, has_rm14_subcode, make_code,
                     repetition_code, rm14, rm14_subcode, words_of_weight,
                     zero_code)
-from .constrb import (FrameCosets, FrameDecomposition, StructuralCosets,
-                      build_construction_b, construction_b_generators,
-                      decompose, extract_code, extract_frame, frame_cosets,
-                      is_construction_b, structural_cosets)
+from .constrb import (Frame, FrameCosets, FrameDecomposition,
+                      StructuralCosets, build_construction_b, decompose,
+                      extract_code, extract_frame, frame_cosets,
+                      structural_cosets)
 from .orbit import (ModuleClass, ModuleCounts, OrbitReport, classify_modules,
                     condition_a, condition_b, condition_c, fusion_space,
                     module_orbit, twisted_character_count,

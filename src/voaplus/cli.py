@@ -11,7 +11,6 @@ non-negative integer, overrides the rank bound of the isometry-group count
 """
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -72,7 +71,7 @@ def parse_coset(lat, text):
 def emit(args, text_fn, json_fn):
     """Print text_fn(), or json_fn() with --format json: only one is built."""
     if args.format == "json":
-        print(json.dumps(json_fn(), indent=2, sort_keys=True))
+        print(serialize.dumps(json_fn()))
     else:
         print(text_fn())
     return 0
@@ -132,8 +131,9 @@ def cmd_decompose(args):
         lines = []
         for d in decs:
             lines.append("coset %s" % serialize.vec_text(d.coset.rep))
-            for e in d.frame:
-                lines.append("  frame %s" % serialize.vec_text(e))
+            for row in d.rows:
+                lines.append("  frame %s"
+                             % serialize.scaled_vec_text(d.scale, row))
             lines.append("  code [%d,%d] generators %s"
                          % (d.code.length, d.code.dimension,
                             " ".join(d.code.basis_strings()) or "-"))

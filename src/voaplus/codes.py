@@ -40,9 +40,12 @@ def _rref(words):
 
 
 def _word_sort_key(n):
-    # canonical order: lexicographic on the coordinate string, coordinate 1 first
+    # canonical order: lexicographic on the coordinate string, coordinate 1
+    # first; that is the numeric order of the words with their n bits reversed
+    spec = "0%db" % n
+
     def key(w):
-        return tuple((w >> i) & 1 for i in range(n))
+        return int(format(w, spec)[::-1], 2)
     return key
 
 

@@ -8,6 +8,25 @@ cosets -- an order-<=2 coset of the dual whose norm-2 vector count reaches
 exactly when some coset reaches the bound.  The count can never exceed the
 bound; we assert that on every coset we touch, which turns a theoretical
 equality into a free runtime oracle.
+
+Frames stay integral from the sweep to the output: a Frame holds its
+vectors as integer rows over one scale q, e_i = rows[i] / q, together with
+the rows G rows[i] that the greedy computed, and a FrameDecomposition keeps
+(q, rows).  Fractions appear only in the ``vectors``/``frame`` views.
+
+The rebuild check.  Let R be the lattice that (code, signs, frame)
+generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
+It is checked that
+  (a) every generator lies in L (its row is divisible by 2q), so R is in L;
+  (b) the frame Gram matrix is exactly 2 I;
+  (c) every pairing <e_i, b_j> with a basis vector of L is an integer.
+By (b) the e_i are an orthogonal basis of the ambient space, so
+x = sum_i (<x, e_i> / 2) e_i for every x; 2 e_i lies in R (from 2 e_1 and
+the e_i + e_{i+1}), and with (c), 4 x = sum_i <x, e_i> (2 e_i) lies in R for
+x in L.  So 4L is in R is in L, and L/R is a 2-group.  A finite 2-group A
+with A = 2A is trivial, so R = L exactly when R + 2L = L, that is when the
+generators over 2q have rank n mod 2: one elimination over F_2 in place of
+a Hermite normal form.
 """
 
 from collections import namedtuple
@@ -26,21 +45,45 @@ class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
     __slots__ = ()
 
 
+def _fraction_rows(scale, rows):
+    return tuple(tuple(Fraction(c, scale) for c in row) for row in rows)
+
+
+class Frame(namedtuple("Frame", "scale rows pairings")):
+    """An orthogonal norm-2 frame e_i = rows[i] / scale in integer rows over
+    L's basis, and pairings[i] = G rows[i], so <e_i, b_j> is
+    pairings[i][j] / scale."""
+    __slots__ = ()
+
+    @property
+    def vectors(self):
+        """The frame vectors as tuples of Fractions."""
+        return _fraction_rows(self.scale, self.rows)
+
+
 class FrameDecomposition(namedtuple("FrameDecomposition",
-                                      "coset frame code signs")):
+                                      "coset scale rows code signs")):
     """A Construction-B witness: coset, orthogonal frame, code, signs.
 
+    The frame vectors are rows[i] / scale (integer rows over L's basis).
     Rebuilding the lattice from (code, signs * frame) reproduced the
     original exactly; extract_code enforces that before returning.
     """
     __slots__ = ()
 
+    @property
+    def frame(self):
+        """The frame vectors as tuples of Fractions."""
+        return _fraction_rows(self.scale, self.rows)
+
 
 def _generator_rows(yframe, code, signs=None):
-    """construction_b_generators over integer frame rows, times 2.
+    """Generators of the Construction-B lattice over a frame, times 2q.
 
     With the frame e_i = yframe[i] / q, returns integer rows whose quotients
-    by 2q generate the Construction-B lattice.
+    by 2q generate the lattice: the halved signed codeword sums over the
+    code's basis, 2 e_1 and the e_i + e_{i+1} (which span every e_i +- e_j,
+    so the signs do not matter there).
     """
     n = len(yframe)
     signs = (1,) * n if signs is None else signs
@@ -56,18 +99,6 @@ def _generator_rows(yframe, code, signs=None):
     for i in range(n - 1):
         rows.append([2 * (a + b) for a, b in zip(yframe[i], yframe[i + 1])])
     return rows
-
-
-def construction_b_generators(frame, code, signs=None):
-    """Generators of the Construction-B lattice over the given frame.
-
-    The frame vectors may live in any coordinate system; generators are
-    the halved signed codeword sums plus the span of all two-frame-vector
-    sums (for which signs are irrelevant).
-    """
-    yframe, q = intmat.scaled_integer_rows(frame)
-    return [tuple(Fraction(c, 2 * q) for c in row)
-            for row in _generator_rows(yframe, code, signs)]
 
 
 def build_construction_b(code, signs=None):
@@ -119,23 +150,16 @@ def frame_cosets(lat):
     return FrameCosets(cosets=tuple(kept), counts=tuple(counts), bound=bound)
 
 
-def is_construction_b(lat):
-    """True iff some coset meets the bound; re-verified by decomposing."""
-    fc = frame_cosets(lat)
-    if not fc.cosets:
-        return False
-    extract_code(lat, extract_frame(lat, fc.cosets[0]), fc.cosets[0])
-    return True
-
-
 def extract_frame(lat, coset):
     """Greedy orthogonal frame inside a qualifying coset.
 
     Picks the lexicographically smallest norm-2 vector orthogonal to the
     ones already chosen; guaranteed to reach full rank for cosets meeting
-    the bound.  Orthogonality is tested on integer-scaled coordinates.
-    The membership precondition is checked on the coset itself (its count
-    against the bound), not by sweeping the whole torsion subgroup.
+    the bound.  Returns a Frame over the coset's scale.  Orthogonality is
+    tested on the integer rows, against the G y of the vectors chosen,
+    which the Frame keeps.  The membership precondition is checked on the
+    coset itself (its count against the bound), not by sweeping the whole
+    torsion subgroup.
     """
     require_even(lat)
     bound = 2 * lat.rank + lat.root_count
@@ -149,16 +173,17 @@ def extract_frame(lat, coset):
             "coset %s has %d norm-2 vectors, bound %d"
             % (coset.label(), count, bound))
     n = lat.rank
-    frame = []
-    chosen_gy = []
+    rows = []
+    pairings = []
     for y in ys:
-        if all(intmat.dot(y, gy) == 0 for gy in chosen_gy):
-            frame.append(tuple(Fraction(c, q) for c in y))
-            chosen_gy.append(lat.gram_times(y))
-            if len(frame) == n:
-                return tuple(frame)
+        if all(intmat.dot(y, gy) == 0 for gy in pairings):
+            rows.append(y)
+            pairings.append(tuple(lat.gram_times(y)))
+            if len(rows) == n:
+                return Frame(scale=q, rows=tuple(rows),
+                             pairings=tuple(pairings))
     raise Incomplete("frame extraction stalled at %d of %d vectors"
-                     % (len(frame), lat.rank))
+                     % (len(rows), lat.rank))
 
 
 def _lexmin_f2_solution(equations, nvars):
@@ -188,36 +213,34 @@ def _lexmin_f2_solution(equations, nvars):
 def extract_code(lat, frame, coset):
     """Recover the code and sign pattern of an extracted frame.
 
-    The code is the span of the mod-2 frame pairings of the generators of
-    L extended by the coset representative.  The sign pattern is the
-    lexicographically first one whose halved-codeword generators land in
-    the lattice (a linear condition over F_2); the rebuild is then checked
-    exactly against the lattice basis.
+    ``frame`` is a Frame inside ``coset`` (extract_frame).  The code is the
+    span of the mod-2 frame pairings of the generators of L extended by the
+    coset representative.  The sign pattern is the lexicographically first
+    one whose halved-codeword generators land in the lattice (a linear
+    condition over F_2); the rebuild is then checked exactly (see the
+    module docstring).
     """
     n = lat.rank
-    scaled, q = intmat.scaled_integer_rows(list(frame) + [coset.rep])
-    yframe, yrep = scaled[:n], scaled[n]
-    gy = [lat.gram_times(y) for y in yframe]
+    q, yframe, gy = frame
+    (rnum,), qr = intmat.scaled_integer_rows([coset.rep])
+    if q % qr:
+        # frame vectors have the denominators of the coset they lie in
+        raise CosetNotInR("the frame does not lie in coset %s"
+                          % coset.label())
+    yrep = [c * (q // qr) for c in rnum]
 
     # pairing of e_i with the j-th basis vector is gy[i][j]/q, with the
     # coset representative it is <yrep, gy[i]>/q^2; both are integers.
-    words = []
-    for j in range(n):
-        word = 0
-        for i in range(n):
-            p, r = divmod(gy[i][j], q)
-            if r:
-                raise Incomplete("frame pairing was not integral")
-            if p % 2:
-                word |= 1 << i
-        words.append(word)
+    if any(c % q for row in gy for c in row):
+        raise Incomplete("frame pairing was not integral")
+    words = [sum((gy[i][j] // q & 1) << i for i in range(n))
+             for j in range(n)]
     word = 0
     for i in range(n):
         p, r = divmod(intmat.dot(yrep, gy[i]), q * q)
         if r:
             raise Incomplete("frame pairing was not integral")
-        if p % 2:
-            word |= 1 << i
+        word |= (p & 1) << i
     words.append(word)
     code = make_code(n, words)
 
@@ -241,14 +264,29 @@ def extract_code(lat, frame, coset):
     if flips is None:
         raise NoSignPattern("sign parity system is inconsistent")
     signs = tuple(-1 if f else 1 for f in flips)
-
-    # scaled by 2q, the basis of L is 2q I, which is its own HNF
-    rebuilt = _generator_rows(yframe, code, signs)
-    unit = [[2 * q if j == i else 0 for j in range(n)] for i in range(n)]
-    if intmat.hnf(rebuilt, n) != unit:
-        raise NoSignPattern("rebuilt lattice differs from the original")
-    return FrameDecomposition(coset=coset, frame=tuple(frame), code=code,
+    _check_rebuild(frame, code, signs)
+    return FrameDecomposition(coset=coset, scale=q, rows=yframe, code=code,
                               signs=signs)
+
+
+def _check_rebuild(frame, code, signs):
+    """Raise unless (code, signs, frame) generate L itself.
+
+    Checks (a) and (b) of the module docstring and the rank mod 2; (c), the
+    integral pairings, is checked by extract_code before it reads the code.
+    """
+    q, yframe, gy = frame
+    n = len(yframe)
+    two_q2 = 2 * q * q
+    for i in range(n):
+        if intmat.dot(yframe[i], gy[i]) != two_q2 or any(
+                intmat.dot(yframe[j], gy[i]) for j in range(i)):
+            raise Incomplete("frame vectors are not orthogonal of norm 2")
+    rows = _generator_rows(yframe, code, signs)
+    if any(c % (2 * q) for row in rows for c in row) or len(_rref(
+            [sum((c // (2 * q) & 1) << j for j, c in enumerate(row))
+             for row in rows])) != n:
+        raise NoSignPattern("rebuilt lattice differs from the original")
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +310,7 @@ def structural_cosets(lat, dec):
     coset only when it lies in the dual and has order <= 2, which happens
     exactly when the code contains the all-one word.
     """
-    yframe, q = intmat.scaled_integer_rows(dec.frame)
+    q, yframe = dec.scale, dec.rows
     plus = [0] * lat.rank
     for s, y in zip(dec.signs, yframe):
         plus = [a + s * c for a, c in zip(plus, y)]

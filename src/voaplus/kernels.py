@@ -6,6 +6,13 @@ rational target norm m = mn/md, enumerate every integer offset x such that
 fraction-free LDL data of G (intmat.ldl) and runs on Python ints alone, so
 it is exact whatever the size of the entries: no vector is missed and
 none is returned that fails the norm identity.
+
+For rep = 0 the vectors come in pairs x, -x, and the tree is walked for
+one of each (Fincke and Pohst, Math. Comp. 44, 1985): while every higher
+coordinate is 0, x_k is kept >= 0, and the zero vector is skipped.  Of each
+pair this keeps the vector whose last nonzero coordinate is positive, so
+the walk visits about half the nodes.  enumerate_offsets mirrors that half
+back (the zero vector joins at norm 0); half=True hands it over as is.
 """
 
 from math import isqrt
@@ -13,8 +20,8 @@ from math import isqrt
 from .intmat import ldl, scaled_integer_rows
 
 
-def _enumerate(gram, q, rnum, mnum, mden):
-    """Depth-first fixed-norm enumeration; see module docstring.
+def _enumerate(gram, q, rnum, mnum, mden, half):
+    """Depth-first fixed-norm enumeration, unsorted; see module docstring.
 
     With y = q x + r, d the leading minors and lam the LDL entries of G,
     y' G y = sum_i w_i^2 / (d[i] d[i+1]) where
@@ -26,6 +33,8 @@ def _enumerate(gram, q, rnum, mnum, mden):
     md w_i^2 <= bound = d[i] (d[i+1] mn q^2 - md p_{i+1}), which gives x_i
     an integer range.  At level 0 a vector is kept only if
     md w_0^2 == bound, which is the identity y' G y * md == mn * q^2.
+    half (r = 0 only) keeps one vector of each +- pair and not the zero
+    vector: ``lead`` says that every level above is 0, and then x_k >= 0.
     """
     n = len(gram)
     if mnum < 0:
@@ -36,7 +45,7 @@ def _enumerate(gram, q, rnum, mnum, mden):
     y = [0] * n
     out = []
 
-    def descend(k, p):
+    def descend(k, p, lead):
         # levels above k are fixed, p = p_{k+1}; run x_k over its range
         dk1 = d[k + 1]
         bound = d[k] * (dk1 * target - mden * p)
@@ -46,6 +55,10 @@ def _enumerate(gram, q, rnum, mnum, mden):
         for j in range(k + 1, n):
             b += lam[j][k] * y[j]
         lo, hi = -((r + b) // a), (r - b) // a
+        if lead:
+            # b = 0 here, so the range is symmetric; 0 leads on to the
+            # levels below, and at level 0 it is the zero vector
+            lo = 1 if k == 0 else 0
         if k == 0:
             # only the ends of the range can reach w_0^2 == bound / md
             for xk in {lo, hi} if lo <= hi else ():
@@ -59,18 +72,30 @@ def _enumerate(gram, q, rnum, mnum, mden):
             w = a * xk + b
             x[k] = xk
             y[k] = q * xk + rnum[k]
-            descend(k - 1, (dk * p + w * w) // dk1)
+            descend(k - 1, (dk * p + w * w) // dk1, lead and not xk)
 
-    descend(n - 1, 0)
-    out.sort()
+    descend(n - 1, 0, half)
     return out
 
 
-def enumerate_offsets(gram_rows, rep, m):
+def enumerate_offsets(gram_rows, rep, m, half=False):
     """All integer offsets x with (x + rep)' G (x + rep) == m, sorted lex.
 
     gram_rows: integer Gram rows; rep: rational coordinates (int or
-    Fraction); m: rational norm (int or Fraction).
+    Fraction); m: rational norm (int or Fraction).  half=True needs rep = 0
+    and returns, unsorted, one vector of each pair x, -x, never the zero
+    vector; see the module docstring.
     """
     (rnum,), q = scaled_integer_rows([rep])
-    return _enumerate(gram_rows, q, rnum, m.numerator, m.denominator)
+    pairs = not any(rnum)
+    if half and not pairs:
+        raise ValueError("half an enumeration needs the representative 0")
+    out = _enumerate(gram_rows, q, rnum, m.numerator, m.denominator, pairs)
+    if half:
+        return out
+    if pairs:
+        out += [tuple(-c for c in x) for x in out]
+        if m == 0:
+            out.append(tuple(rnum))
+    out.sort()
+    return out

@@ -15,6 +15,9 @@ and w mod 2 names the coset of w/2.  M is twice the union of the
 order-<=2 cosets, so its basis comes from the Smith form: the 2 e_i and
 twice the representatives of the order-2 generators.  M is enumerated
 once, in an LLL-reduced basis, and its vectors are bucketed by coset.
+The kernel hands over one vector of each pair +-w (kernels, half=True):
+only that half is mapped back to L's basis, and -w joins w's bucket, as
+-w = w mod 2.
 """
 
 import math
@@ -251,7 +254,8 @@ def _torsion2_sweep(lat):
     reduced, h = intmat.lll_gram(sublattice_gram(lat, basis))
     # the reduced basis of M, rows over L's basis
     rows = [[intmat.dot(hi, col) for col in zip(*basis)] for hi in h]
-    ys = kernels.enumerate_offsets(reduced, (0,) * n, 8)
+    # half: one of each pair +-y; -w lies in the bucket of w (-w = w mod 2)
+    ys = kernels.enumerate_offsets(reduced, (0,) * n, 8, True)
     buckets = {}
     while ys:
         y = ys.pop()    # each y is freed once mapped
@@ -259,7 +263,9 @@ def _torsion2_sweep(lat):
         for yi, row in zip(y, rows):
             if yi:
                 w = [a + yi * b for a, b in zip(w, row)]
-        buckets.setdefault(tuple(a & 1 for a in w), []).append(w)
+        bucket = buckets.setdefault(tuple(a & 1 for a in w), [])
+        bucket.append(w)
+        bucket.append([-a for a in w])
     out = {}
     for coset in lat.discriminant.torsion2_reps:
         r2 = [x.numerator * 2 // x.denominator for x in coset.rep]
@@ -278,13 +284,13 @@ def _offsets(lat, coset, m):
     it.  Before that a single coset costs one tree of its own, which on a
     lattice with thousands of order-<=2 cosets is far less than the sweep.
     """
-    m = Fraction(m)
-    if m < 0:
-        raise NormNegative("norm target must be >= 0")
     rep = coset.rep if coset is not None else (0,) * lat.rank
     sweep = lat.__dict__.get("torsion2_norm2_offsets")
     if m == 2 and sweep is not None and rep in sweep:
         return rep, sweep[rep]
+    m = Fraction(m)
+    if m < 0:
+        raise NormNegative("norm target must be >= 0")
     return rep, _cached_offsets(lat, rep, m)
 
 

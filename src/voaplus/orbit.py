@@ -115,7 +115,7 @@ def condition_a(lat):
     require_even(lat)
     if lat.rank != 8:
         return ConditionWitness(False, detail="rank != 8")
-    cosets = frame_cosets(lat).cosets
+    cosets = set(frame_cosets(lat).cosets)
     hit = None
     for dec in decompose(lat):
         has_allone = dec.code.contains_all_one
@@ -144,7 +144,7 @@ def condition_b(lat):
     require_even(lat)
     if lat.rank != 16:
         return ConditionWitness(False, detail="rank != 16")
-    cosets = frame_cosets(lat).cosets
+    cosets = set(frame_cosets(lat).cosets)
     hit = None
     for dec in decompose(lat):
         witness = rm14_subcode(dec.code)

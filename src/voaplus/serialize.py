@@ -3,15 +3,44 @@
 JSON field names are frozen; see docs/json_schema.md (schema_version 1,
 additive evolution only).  Every rational is rendered as the string "p/q"
 with q > 0 and gcd(p, q) = 1; integers stay JSON numbers.
+
+Integers are written out in full at any length.  The interpreter refuses
+str() of an int over 4300 digits; that limit guards the parsing of input,
+but a report may hold products of accepted entries beyond it (the
+determinant of a Gram matrix with 3000-digit entries), so the numbers
+that grow with the input go through int_str, and JSON through dumps.
 """
 
-from fractions import Fraction
+import json
+import re
+from functools import lru_cache
+from math import gcd
 
 SCHEMA_VERSION = 1
 
 
+def int_str(n):
+    """Decimal digits of the int n, past the str() digit limit too."""
+    try:
+        return "%d" % n
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_str(-n)
+    k = n.bit_length() * 3 // 20        # about half of n's digits
+    hi, lo = divmod(n, 10 ** k)
+    return int_str(hi) + int_str(lo).zfill(k)
+
+
 def frac_str(x):
-    return "%d/%d" % (x.numerator, x.denominator)
+    return int_str(x.numerator) + "/" + int_str(x.denominator)
+
+
+def num_text(x):
+    """An int or Fraction as str(Fraction) prints it: "p/q", or "p"."""
+    if x.denominator == 1:
+        return int_str(x.numerator)
+    return frac_str(x)
 
 
 def vec_json(vec):
@@ -19,7 +48,53 @@ def vec_json(vec):
 
 
 def vec_text(vec):
-    return "(" + ", ".join(str(Fraction(x)) for x in vec) + ")"
+    return "(" + ", ".join(num_text(x) for x in vec) + ")"
+
+
+@lru_cache(maxsize=1024)
+def _ratio_str(num, den):
+    """num / den (den > 0) in lowest terms as "p/q".  Frame rows repeat a
+    few small entries, so each string is made once."""
+    g = gcd(num, den)
+    return int_str(num // g) + "/" + int_str(den // g)
+
+
+def scaled_vec_json(scale, row):
+    """vec_json of the vector row / scale (integer row, scale > 0)."""
+    return [_ratio_str(c, scale) for c in row]
+
+
+def scaled_vec_text(scale, row):
+    """vec_text of the vector row / scale (integer row, scale > 0)."""
+    return "(" + ", ".join(_ratio_str(c, scale).removesuffix("/1")
+                           for c in row) + ")"
+
+
+def dumps(doc):
+    """doc as JSON text, indented by 2 with sorted keys.
+
+    json.dumps fails on an int over the str() digit limit; then every int
+    goes in as a placeholder string, replaced by its int_str digits in the
+    text.
+    """
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    except ValueError:
+        pass
+    digits = []
+
+    def swap(x):
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [swap(v) for v in x]
+        if type(x) is int:
+            digits.append(int_str(x))
+            return "\0%d" % (len(digits) - 1)
+        return x
+
+    text = json.dumps(swap(doc), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m.group(1))], text)
 
 
 def coset_json(coset):
@@ -41,7 +116,7 @@ def frame_cosets_json(fc):
 def decomposition_json(dec):
     return {
         "coset": coset_json(dec.coset),
-        "frame": [vec_json(e) for e in dec.frame],
+        "frame": [scaled_vec_json(dec.scale, row) for row in dec.rows],
         "code": code_json(dec.code),
         "signs": list(dec.signs),
     }
@@ -121,7 +196,8 @@ def odd_report_json(rep):
 def aut_report_text(rep):
     out = []
     w = out.append
-    w("rank %d lattice, det %d, %d roots" % (rep.rank, rep.det, rep.root_count))
+    w("rank %d lattice, det %s, %d roots"
+      % (rep.rank, int_str(rep.det), rep.root_count))
     w("  2-elementary: %s   totally even: %s"
       % (rep.is_2_elementary, rep.is_totally_even))
     fc = rep.frame_coset_set
@@ -143,10 +219,10 @@ def aut_report_text(rep):
           % (rep.fusion.size, rep.fusion.dim, rep.fusion.gl_order))
     w("index [Aut : Stab] = %d" % rep.index_over_stabilizer)
     if rep.isometry_order is not None:
-        w("|O(L)| = %d" % rep.isometry_order)
+        w("|O(L)| = %s" % int_str(rep.isometry_order))
     if rep.stabilizer_order is not None:
-        w("stabilizer order = %d" % rep.stabilizer_order)
-        w("aut order = %d" % rep.aut_order)
+        w("stabilizer order = %s" % int_str(rep.stabilizer_order))
+        w("aut order = %s" % int_str(rep.aut_order))
     else:
         w("stabilizer order unavailable: %s" % rep.stabilizer_reason)
     w("exceeds stabilizer: %s" % rep.exceeds_stabilizer)
@@ -158,15 +234,16 @@ def aut_report_text(rep):
 def odd_report_text(rep):
     out = []
     w = out.append
-    w("odd lattice, rank %d, det %d" % (rep.lattice.rank, rep.lattice.det))
-    w("even part: det %d, basis rows %s"
-      % (rep.even_part.det, [list(r) for r in rep.even_basis]))
+    w("odd lattice, rank %d, det %s"
+      % (rep.lattice.rank, int_str(rep.lattice.det)))
+    w("even part: det %s, basis rows %s"
+      % (int_str(rep.even_part.det), [list(r) for r in rep.even_basis]))
     w("odd representative %s, norm %s" % (vec_text(rep.odd_rep),
-                                          rep.odd_rep_norm))
+                                          num_text(rep.odd_rep_norm)))
     w("its class over the even part: %s (in orbit: %s)"
       % (vec_text(rep.odd_coset.rep), rep.odd_coset_in_orbit))
     if rep.aut_order is not None:
-        w("aut order = %d" % rep.aut_order)
+        w("aut order = %s" % int_str(rep.aut_order))
     else:
         w("aut order unavailable (needs the even-part order and an in-orbit class)")
     w("--- even part report ---")

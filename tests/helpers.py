@@ -1,9 +1,11 @@
 """Independent oracles and generators used across the test suite.
 
 Everything here is deliberately naive -- box enumeration, brute-force
-products -- so that it shares no code path with the package internals it
-checks; the one exception, named in its docstring, is the leaf-counting
-isometry search, which takes its candidate vectors from the package.
+products, Hermite normal forms over Fractions -- so that it shares no code
+path with the package internals it checks; the exceptions, named in their
+docstrings, are the leaf-counting isometry search, which takes its
+candidate vectors from the package, and is_construction_b, which runs the
+package's decomposition.
 """
 
 import math
@@ -11,7 +13,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from voaplus import make_code, make_lattice, vectors_of_norm
+from voaplus import (extract_code, extract_frame, frame_cosets, make_code,
+                     make_lattice, same_lattice, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite
 from voaplus.intmat import ldl
 
@@ -244,3 +247,51 @@ def doubly_even_sample(count=120, seed=20240613):
         k = rng.randrange(0, min(6, n // 2) + 1)
         codes.append(random_doubly_even_code(rng, n, k))
     return codes
+
+
+def construction_b_generators(frame, code, signs=None):
+    """Generators of the Construction-B lattice over a frame, as Fractions.
+
+    The frame vectors (ints or Fractions) may live in any coordinate
+    system.  The generators are the halved signed sums over the code's
+    basis words and every e_i +- e_j and 2 e_i.
+    """
+    frame = [[Fraction(c) for c in e] for e in frame]
+    n = len(frame)
+    signs = (1,) * n if signs is None else signs
+    zero = [Fraction(0)] * len(frame[0])
+    gens = []
+    for word in code.basis:
+        acc = zero
+        for i in range(n):
+            if word >> i & 1:
+                acc = [a + signs[i] * c for a, c in zip(acc, frame[i])]
+        gens.append(tuple(a / 2 for a in acc))
+    for i in range(n):
+        gens.append(tuple(2 * c for c in frame[i]))
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                gens.append(tuple(a + s * b
+                                  for a, b in zip(frame[i], frame[j])))
+    return gens
+
+
+def rebuild_spans_lattice(dec):
+    """True iff a FrameDecomposition's (code, signs, frame) generate L.
+
+    The Hermite-normal-form route: the generators and the unit basis of L
+    must have the same HNF (lattice.same_lattice).
+    """
+    n = len(dec.rows)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return same_lattice(
+        construction_b_generators(dec.frame, dec.code, dec.signs), unit)
+
+
+def is_construction_b(lat):
+    """True iff some coset meets the bound; re-verified by decomposing."""
+    fc = frame_cosets(lat)
+    if not fc.cosets:
+        return False
+    extract_code(lat, extract_frame(lat, fc.cosets[0]), fc.cosets[0])
+    return True

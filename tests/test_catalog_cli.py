@@ -142,6 +142,55 @@ def test_cli_refuses_overlong_integer_literals(capsys, template):
     assert "Traceback" not in err
 
 
+# each entry parses (3000 digits), but det = (10^3000 - 1)^2 has 6000 and
+# the even part's det = 4 det has 6001: str() refuses both
+LONG = "9" * 3000
+LONG_ODD = "gram([[%s,0],[0,%s]])" % (LONG, LONG)
+LONG_DET = "9" * 2999 + "8" + "0" * 2999 + "1"
+LONG_EVEN_DET = "3" + "9" * 2999 + "2" + "0" * 2999 + "4"
+
+
+def test_cli_odd_text_prints_integers_past_the_str_limit(capsys):
+    assert main(["odd", LONG_ODD]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "odd lattice, rank 2, det " + LONG_DET
+    assert lines[1].startswith("even part: det %s, " % LONG_EVEN_DET)
+
+
+def test_cli_odd_json_prints_integers_past_the_str_limit(capsys):
+    assert main(["odd", LONG_ODD, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # json.loads refuses such integers too: read every one as its digits
+    doc = json.loads(out, parse_int=str)
+    assert doc["kind"] == "odd_report" and doc["lattice"]["rank"] == "2"
+    assert doc["lattice"]["det"] == LONG_DET
+    assert doc["lattice"]["gram"] == [[LONG, "0"], ["0", LONG]]
+    assert doc["even_part"]["det"] == LONG_EVEN_DET
+    # the long numbers are JSON numbers, as every other integer
+    assert '"det": %s,' % LONG_DET in out
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 10 ** 4300 - 1, 10 ** 4300,
+                               -(10 ** 5000) - 7, 3 ** 20000,
+                               10 ** 9000 + 10 ** 3000],
+                         ids=["0", "7", "-7", "10^4300-1", "10^4300",
+                              "-10^5000-7", "3^20000", "10^9000+10^3000"])
+def test_int_str_writes_every_digit(n):
+    # digits checked against an exact rebuild: sum of digit * 10^position
+    text = serialize.int_str(n)
+    digits = text.lstrip("-")
+    assert digits == "0" or not digits.startswith("0")
+    assert text.startswith("-") == (n < 0)
+    value = 0
+    for chunk in range(0, len(digits), 1000):
+        part = digits[chunk:chunk + 1000]
+        value = value * 10 ** len(part) + int(part)
+    assert value == abs(n)
+
+
 def test_cli_closed_pipe_exits_quietly():
     # `voaplus shortvec E8 --norm 6 | head -1`: far more output than a pipe
     # buffer holds, so the writer meets the closed pipe

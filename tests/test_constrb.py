@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -7,15 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_force_lexmin_f2, doubly_even_sample,
-                     random_doubly_even_code, random_unimodular_conjugate)
+from helpers import (brute_force_lexmin_f2, construction_b_generators,
+                     doubly_even_sample, is_construction_b,
+                     random_doubly_even_code, random_unimodular_conjugate,
+                     rebuild_spans_lattice)
 from voaplus import (build_construction_b, canonicalize_coset, count_norm,
                      decompose, extract_code, extract_frame, frame_cosets,
-                     hamming8, is_construction_b, make_lattice, parse_spec,
+                     hamming8, intmat, make_code, make_lattice, parse_spec,
                      repetition_code, rm14, same_lattice, structural_cosets,
                      words_of_weight, zero_code)
-from voaplus.constrb import _lexmin_f2_solution, construction_b_generators
-from voaplus.errors import CosetNotInR, NotDoublyEven, NotEven
+from voaplus.constrb import _check_rebuild, _lexmin_f2_solution
+from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
+                            NotDoublyEven, NotEven)
 
 
 def test_build_zero_code_rank1_gives_scaled_a1():
@@ -92,7 +96,7 @@ def test_frame_cosets_sweeps_all_cosets_in_one_enumeration(monkeypatch):
     fc = frame_cosets(lat)
     assert len(fc.cosets) == 135 and fc.bound == 32
     assert len(calls) <= 2
-    assert len(extract_frame(lat, fc.cosets[0])) == 16
+    assert len(extract_frame(lat, fc.cosets[0]).rows) == 16
     assert len(calls) <= 2
 
 
@@ -124,16 +128,16 @@ def test_is_construction_b_catalog():
 def test_extract_frame_examples():
     two_a1 = make_lattice([[8]])
     coset = frame_cosets(two_a1).cosets[0]
-    frame = extract_frame(two_a1, coset)
+    frame = extract_frame(two_a1, coset).vectors
     assert frame == ((Fraction(-1, 2),),)
     d44 = make_lattice([[4, 0], [0, 4]])
     coset = frame_cosets(d44).cosets[0]
-    frame = extract_frame(d44, coset)
+    frame = extract_frame(d44, coset).vectors
     assert len(frame) == 2
     assert d44.inner(frame[0], frame[1]) == 0
     assert all(d44.norm(f) == 2 for f in frame)
     # deterministic
-    assert frame == extract_frame(d44, coset)
+    assert frame == extract_frame(d44, coset).vectors
 
 
 def test_extract_frame_rejects_non_qualifying():
@@ -233,6 +237,82 @@ def test_rebuild_check_survives_optimize(flags):
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["4", str(not flags)]
     assert "rebuilt lattice differs from the original" in done.stderr
+
+
+def _index_in_l(gens):
+    """[L : span] for generators given over L's basis, all inside L."""
+    assert all(c.denominator == 1 for g in gens for c in g)
+    basis = intmat.hnf([[int(c) for c in g] for g in gens])
+    assert len(basis) == len(gens[0])
+    return math.prod(row[i] for i, row in enumerate(basis))
+
+
+@pytest.mark.parametrize("spec", ["lb(rep(8))", "lb(hamming8)", "2A1"])
+def test_rebuild_check_agrees_with_hnf_oracle(spec):
+    # the F_2 rank check against the HNF route it replaced: both accept
+    # every decomposition, and both refuse a code short of one generator
+    # (generators inside L spanning index 2) and a flipped first sign
+    lat = parse_spec(spec)
+    decs = decompose(lat)
+    assert decs
+    refused = 0
+    for dec in decs:
+        frame = extract_frame(lat, dec.coset)
+        assert (frame.scale, frame.rows) == (dec.scale, dec.rows)
+        assert rebuild_spans_lattice(dec)
+        _check_rebuild(frame, dec.code, dec.signs)
+        if dec.code.dimension:
+            short = make_code(lat.rank, dec.code.basis[1:])
+            gens = construction_b_generators(dec.frame, short, dec.signs)
+            assert _index_in_l(gens) == 2
+            with pytest.raises(NoSignPattern,
+                               match="rebuilt lattice differs from the "
+                                     "original"):
+                _check_rebuild(frame, short, dec.signs)
+            refused += 1
+        flipped = (-dec.signs[0],) + dec.signs[1:]
+        if dec.code.basis and dec.code.basis[0] & 1:
+            assert not rebuild_spans_lattice(dec._replace(signs=flipped))
+            with pytest.raises(NoSignPattern):
+                _check_rebuild(frame, dec.code, flipped)
+    assert refused or spec == "2A1"
+
+
+def test_rebuild_check_refuses_a_frame_that_is_not_orthogonal():
+    lat = parse_spec("lb(rep(8))")
+    dec = decompose(lat)[0]
+    frame = extract_frame(lat, dec.coset)
+    rows = (frame.rows[1],) + frame.rows[1:]
+    pairings = (frame.pairings[1],) + frame.pairings[1:]
+    with pytest.raises(Incomplete, match="not orthogonal of norm 2"):
+        _check_rebuild(frame._replace(rows=rows, pairings=pairings),
+                       dec.code, dec.signs)
+
+
+def test_decompose_works_on_integers():
+    # frames stay integer rows from the sweep to the FrameDecomposition;
+    # frame is a Fraction view of them
+    lat = parse_spec("lb(rep(8))")
+    # the sweep makes the canonical representatives; frame_cosets may
+    # answer from its cache for an equal lattice, so ask this one
+    assert lat.torsion2_norm2_offsets and frame_cosets(lat).cosets
+    decompose.cache_clear()
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+        decs = decompose(lat)
+    assert len(decs) == 135
+    assert len(made) == 0       # 8 775 before frames were integer rows
+    dec = decs[0]
+    assert dec.frame == tuple(tuple(Fraction(c, dec.scale) for c in row)
+                              for row in dec.rows)
+    assert all(lat.norm(e) == 2 for e in dec.frame)
 
 
 def test_roundtrip_sample_of_random_codes():

@@ -133,3 +133,37 @@ def test_cli_import_leaves_numpy_out():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
     assert done.stdout.split() == ["False", "False"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6))
+def test_representative_zero_walks_half_of_each_pair(seed, n):
+    # rep 0 walks one vector of each pair +-x and mirrors it back; the
+    # zero vector comes back at norm 0 only
+    gram = random_posdef_gram(random.Random(seed), n)
+    assume(gram is not None)
+    dual = make_lattice(gram).dual_gram
+    zero = (0,) * n
+    assert enumerate_offsets(gram, zero, Fraction(0)) == [zero]
+    assert enumerate_offsets(gram, zero, 0, half=True) == []
+    checked = 0
+    for m in range(7):
+        # |x_i| <= sqrt(m (G^-1)_ii) holds every vector; small boxes only
+        box = max(math.isqrt(math.floor(m * dual[i][i])) for i in range(n))
+        if (2 * box + 1) ** n > 3000:
+            continue
+        want = [tuple(int(c) for c in v)
+                for v in naive_vectors_of_norm(gram, zero, m, box=box)]
+        assert enumerate_offsets(gram, zero, Fraction(m)) == want, m
+        half = enumerate_offsets(gram, zero, m, half=True)
+        # the half keeps the vector whose last nonzero coordinate is > 0
+        assert all([c for c in x if c][-1] > 0 for x in half)
+        mirrored = half + [tuple(-c for c in x) for x in half]
+        assert sorted(mirrored + [zero] * (m == 0)) == want, m
+        checked += m > 0
+    assume(checked)     # a skewed gram may leave no small box above norm 0
+
+
+def test_half_enumeration_needs_representative_zero():
+    with pytest.raises(ValueError):
+        enumerate_offsets([[4]], (Fraction(1, 2),), 1, half=True)

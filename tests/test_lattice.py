@@ -14,7 +14,7 @@ from voaplus import (canonicalize_coset, count_norm, direct_sum, make_lattice,
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
                             NotSymmetric, RankBoundExceeded)
 from voaplus.kernels import enumerate_offsets
-from voaplus.lattice import _torsion2_basis
+from voaplus.lattice import _cached_offsets, _torsion2_basis
 
 
 def test_make_lattice_examples():
@@ -168,6 +168,22 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
             want = tuple(enumerate_offsets(g, coset.rep, Fraction(2)))
             assert sweep[coset.rep] == want, (g, coset.rep)
             assert count_norm(lat, coset, 2) == len(want)
+
+
+@pytest.mark.parametrize("steps", [0, 24])
+def test_torsion2_sweep_buckets_match_own_trees_on_lb_rep8(steps):
+    # the sweep maps one vector of each pair +-w; every bucket must still
+    # equal the coset's own enumeration, in the catalog basis and another
+    gram = random_unimodular_conjugate(
+        random.Random(8), parse_spec("lb(rep(8))").gram, steps=steps)
+    lat = make_lattice(gram)
+    sweep = lat.torsion2_norm2_offsets
+    cosets = lat.discriminant.torsion2_reps
+    assert len(cosets) == 256
+    assert sorted(sweep) == sorted(c.rep for c in cosets)
+    for coset in cosets:
+        own = _cached_offsets(lat, coset.rep, Fraction(2))
+        assert sweep[coset.rep] == own, coset.rep
 
 
 def coset_layer_grams(seed, n, even):

@@ -10,7 +10,7 @@ import pytest
 from voaplus import hamming8, parse_spec
 from voaplus.catalog import CatalogEntry
 from voaplus.codes import BinaryCode
-from voaplus.constrb import (FrameCosets, FrameDecomposition,
+from voaplus.constrb import (Frame, FrameCosets, FrameDecomposition,
                              StructuralCosets)
 from voaplus.lattice import Coset
 from voaplus.orbit import (ConditionWitness, FusionSpace, ModuleClass,
@@ -49,9 +49,10 @@ SAMPLES = {
     "Coset": lambda: _coset("1/2", 0),
     "BinaryCode": lambda: BinaryCode(length=8, basis=(255,)),
     "FrameCosets": _frame_cosets,
+    "Frame": lambda: Frame(scale=2, rows=((1,),), pairings=((4,),)),
     "FrameDecomposition": lambda: FrameDecomposition(
-        coset=_coset("1/2"), frame=((Fraction(1, 2),),),
-        code=BinaryCode(1, ()), signs=(1,)),
+        coset=_coset("1/2"), scale=2, rows=((1,),), code=BinaryCode(1, ()),
+        signs=(1,)),
     "StructuralCosets": lambda: StructuralCosets(twist_plus=_coset(0),
                                                  twist_minus=None),
     "ModuleClass": lambda: ModuleClass(kind="plain", coset=_coset("1/3")),
@@ -76,7 +77,8 @@ FIELDS = {
     "Coset": ("rep", "order2"),
     "BinaryCode": ("length", "basis"),
     "FrameCosets": ("cosets", "counts", "bound"),
-    "FrameDecomposition": ("coset", "frame", "code", "signs"),
+    "Frame": ("scale", "rows", "pairings"),
+    "FrameDecomposition": ("coset", "scale", "rows", "code", "signs"),
     "StructuralCosets": ("twist_plus", "twist_minus"),
     "ModuleClass": ("kind", "coset", "sign", "count"),
     "ModuleCounts": ("untwisted_signed", "untwisted_plain", "twisted"),
