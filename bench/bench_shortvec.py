@@ -36,7 +36,8 @@ CASES = [
 
 def run_case(lat, coset_mode, m):
     if coset_mode == "onepass":
-        return sum(map(len, lattice._torsion2_sweep(lat).values()))
+        # the sweep keeps one record of each pair +-v
+        return 2 * sum(map(len, lattice._torsion2_sweep(lat).values()))
     if coset_mode is None:
         reps = [(0,) * lat.rank]
     else:

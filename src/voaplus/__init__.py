@@ -3,8 +3,7 @@ coset short-vector counts, Construction-B decompositions, module-class
 orbits, and the automorphism-group orders they determine."""
 
 from .lattice import (Coset, DiscriminantGroup, Lattice, canonicalize_coset,
-                      count_norm, direct_sum, make_lattice,
-                      orthogonal_group_order, rescale, same_lattice,
+                      count_norm, direct_sum, orthogonal_group_order, rescale,
                       vectors_of_norm)
 from .codes import (BinaryCode, hamming8, has_rm14_subcode, make_code,
                     repetition_code, rm14, rm14_subcode, words_of_weight,

@@ -25,11 +25,12 @@ from . import intmat
 from .codes import BinaryCode, hamming8, make_code, repetition_code, rm14, zero_code
 from .constrb import build_construction_b
 from .errors import ParseError, UnknownName
-from .lattice import Lattice, direct_sum, make_lattice, rescale
+from .lattice import Lattice, direct_sum, rescale
 
-# Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...):
-# 16 times the largest catalog rank, far below sizes that exhaust memory.
-SIZE_LIMIT = 256
+# Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...).
+# A cold ``analyze`` of a root lattice grows about as n^4: on a 2-core
+# machine A128 took 5 s and D128 8 s, while D144 took 10 s and D160 15 s.
+SIZE_LIMIT = 128
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<word>[0-9]*[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<int>-?[0-9]+)"
@@ -82,14 +83,14 @@ def _cartan_a(n):
         g[i][i] = 2
         if i + 1 < n:
             g[i][i + 1] = g[i + 1][i] = -1
-    return make_lattice(g)
+    return Lattice(g)
 
 
 def _embedding_lattice(rows):
     """Lattice of the row span under the standard dot product."""
     scaled, den = intmat.scaled_integer_rows(rows)
     basis = intmat.hnf(scaled, len(rows[0]))
-    return make_lattice([[intmat.dot(bi, bj) // (den * den)
+    return Lattice([[intmat.dot(bi, bj) // (den * den)
                           for bj in basis] for bi in basis])
 
 
@@ -119,7 +120,7 @@ def _glued_d(n):
 
 def _atom_from_word(word, pos):
     if word == "2A1":
-        return make_lattice([[8]])
+        return Lattice([[8]])
     if word == "E8":
         return _glued_d(8)
     if word == "Gamma16":
@@ -137,7 +138,7 @@ def _atom_from_word(word, pos):
     m = re.fullmatch(r"Z([0-9]+)", word)
     if m:
         n = _size(m.group(1), pos)
-        return make_lattice([[1 if i == j else 0 for j in range(n)]
+        return Lattice([[1 if i == j else 0 for j in range(n)]
                              for i in range(n)])
     raise UnknownName("unknown name %r" % word, position=pos)
 
@@ -219,7 +220,7 @@ class _Parser:
             self.expect_sym("(")
             mat = self.matrix_literal()
             self.expect_sym(")")
-            return make_lattice(mat)
+            return Lattice(mat)
         if word == "zero" and call:
             return zero_code(self.int_call())
         if word == "rep" and call:
@@ -310,7 +311,7 @@ def lattice_from_file(path):
         if not (isinstance(gram, list)
                 and all(isinstance(row, list) for row in gram)):
             raise ParseError("'gram' must be a list of integer lists")
-        return make_lattice(gram)
+        return Lattice(gram)
     if "length" in doc:
         length, gens = doc["length"], doc.get("generators", [])
         if (isinstance(length, bool) or not isinstance(length, int)

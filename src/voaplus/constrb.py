@@ -11,8 +11,12 @@ equality into a free runtime oracle.
 
 Frames stay integral from the sweep to the output: a Frame holds its
 vectors as integer rows over one scale q, e_i = rows[i] / q, together with
-the rows G rows[i] that the greedy computed, and a FrameDecomposition keeps
-(q, rows).  Fractions appear only in the ``vectors``/``frame`` views.
+the rows G rows[i], and a FrameDecomposition keeps (q, rows).  Fractions
+appear only in the ``vectors``/``frame`` views.  On a swept lattice both
+come straight from the sweep's records w + G w (lattice module docstring):
+the rows are the w over q = 2, and the greedy computes no G y.  The
+structural cosets are looked up by the parity key of twice the vector
+(DiscriminantGroup.torsion2_index), not through the Smith form.
 
 The rebuild check.  Let R be the lattice that (code, signs, frame)
 generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
@@ -31,13 +35,13 @@ a Hermite normal form.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from . import intmat
 from .codes import _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import Lattice, require_even, scaled_vectors_of_norm
+from .lattice import (Lattice, cached_on_lattice, norm2_records, parity_key,
+                      require_even, scaled_vectors_of_norm)
 
 
 class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
@@ -125,21 +129,22 @@ def build_construction_b(code, signs=None):
     return lat, frame_coords
 
 
-@lru_cache(maxsize=None)
+@cached_on_lattice
 def frame_cosets(lat):
     """Order-<=2 dual cosets meeting the norm-2 bound 2n + |roots|.
 
-    Every count comes from one enumeration (Lattice.torsion2_norm2_offsets).
-    The count is asserted to equal the bound exactly; an excess would
-    contradict the frame-extraction argument and signals a bug.
+    Every count comes from one enumeration (Lattice.torsion2_norm2_records,
+    one record of each pair +-v).  The count is asserted to equal the bound
+    exactly; an excess would contradict the frame-extraction argument and
+    signals a bug.
     """
     require_even(lat)
-    sweep = lat.torsion2_norm2_offsets      # one enumeration for all cosets
+    sweep = lat.torsion2_norm2_records      # one enumeration for all cosets
     bound = 2 * lat.rank + lat.root_count
     kept = []
     counts = []
     for coset in lat.discriminant.torsion2_reps:
-        c = len(sweep[coset.rep])
+        c = 2 * len(sweep[coset.rep])
         if c >= bound:
             if c > bound:
                 raise EqualityViolated(
@@ -160,10 +165,21 @@ def extract_frame(lat, coset):
     which the Frame keeps.  The membership precondition is checked on the
     coset itself (its count against the bound), not by sweeping the whole
     torsion subgroup.
+
+    Once the sweep exists (frame_cosets), the candidates are its records
+    w + G w, w = 2v: a qualifying coset is a nontrivial order-2 one (the
+    trivial coset holds the roots alone, fewer than the bound), so its
+    vectors are the rows w over the scale 2, with G w at hand.  Without
+    the sweep the coset is enumerated on its own and G y computed here.
     """
     require_even(lat)
-    bound = 2 * lat.rank + lat.root_count
-    q, ys = scaled_vectors_of_norm(lat, coset, 2)
+    n = lat.rank
+    bound = 2 * n + lat.root_count
+    recs = norm2_records(lat, coset)
+    if recs is not None:
+        q, ys = 2, [r[:n] for r in recs]
+    else:
+        q, ys = scaled_vectors_of_norm(lat, coset, 2)
     count = len(ys)
     if not coset.order2 or count < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
@@ -172,13 +188,13 @@ def extract_frame(lat, coset):
         raise EqualityViolated(
             "coset %s has %d norm-2 vectors, bound %d"
             % (coset.label(), count, bound))
-    n = lat.rank
     rows = []
     pairings = []
-    for y in ys:
+    for i, y in enumerate(ys):
         if all(intmat.dot(y, gy) == 0 for gy in pairings):
             rows.append(y)
-            pairings.append(tuple(lat.gram_times(y)))
+            pairings.append(recs[i][n:] if recs is not None
+                            else tuple(lat.gram_times(y)))
             if len(rows) == n:
                 return Frame(scale=q, rows=tuple(rows),
                              pairings=tuple(pairings))
@@ -289,7 +305,7 @@ def _check_rebuild(frame, code, signs):
         raise NoSignPattern("rebuilt lattice differs from the original")
 
 
-@lru_cache(maxsize=None)
+@cached_on_lattice
 def decompose(lat):
     """One FrameDecomposition per qualifying coset, in canonical order."""
     fc = frame_cosets(lat)
@@ -315,18 +331,17 @@ def structural_cosets(lat, dec):
     for s, y in zip(dec.signs, yframe):
         plus = [a + s * c for a, c in zip(plus, y)]
     minus = [a - 4 * dec.signs[0] * c for a, c in zip(plus, yframe[0])]
-    disc = lat.discriminant
+    index = lat.discriminant.torsion2_index
 
     def classify(num):
-        # the vector is num / 4q: twice it lies in L iff 2q | num, and it
-        # lies in the dual iff 4q | G num
+        # the vector is num / 4q: twice it, w = num / 2q, lies in L iff
+        # 2q | num, and the vector lies in the dual iff 4q | G num; its
+        # coset then has order <= 2 and is named by w mod 2
         if any(c % (2 * q) for c in num):
             return None
-        gv = lat.gram_times(num)
-        if any(c % (4 * q) for c in gv):
+        if any(c % (4 * q) for c in lat.gram_times(num)):
             return None
-        return disc.coset_of_element(
-            disc.element_of_image([c // (4 * q) for c in gv]))
+        return index[parity_key([c // (2 * q) for c in num])]
 
     return StructuralCosets(twist_plus=classify(plus),
                             twist_minus=classify(minus))

@@ -11,19 +11,30 @@ The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
 dual vector v has 2v in L exactly when w = 2v lies in
 M = L cap 2L* = {x in Z^n : G x = 0 mod 2}, and <v, v> = 2 exactly when
 <w, w> = 8.  So those vectors are the w/2 for the norm-8 vectors w of M,
-and w mod 2 names the coset of w/2.  M is twice the union of the
-order-<=2 cosets, so its basis comes from the Smith form: the 2 e_i and
-twice the representatives of the order-2 generators.  M is enumerated
-once, in an LLL-reduced basis, and its vectors are bucketed by coset.
-The kernel hands over one vector of each pair +-w (kernels, half=True):
-only that half is mapped back to L's basis, and -w joins w's bucket, as
--w = w mod 2.
+and w mod 2 names the coset of w/2: two such vectors lie in one coset
+exactly when their w agree mod 2L.  The parity key of w is the n-bit
+integer with bit j = w_j mod 2, and DiscriminantGroup.torsion2_index maps
+it to the coset.  M is twice the union of the order-<=2 cosets, so its
+basis comes from the Smith form: the 2 e_i and twice the representatives
+of the order-2 generators.  M is enumerated once, in an LLL-reduced
+basis; the kernel hands over one vector of each pair +-w (kernels,
+half=True), and -w lies in w's coset, as -w = w mod 2.
+
+Each swept vector is kept as a record: the tuple w + G w of 2n integers
+over L's basis, G w being the pairings <w, b_j>.  Records are what the
+frame greedy of constrb reads; the offsets view is derived from them on
+demand.  A record costs one multiply-add per nonzero coordinate of the
+reduced-basis vector y: every reduced basis row is packed once, with its
+G-image, into one int of 2n signed lanes, and w + G w = sum_i y_i P_i is
+read back from the lanes of the sum (see _torsion2_sweep for the lane
+bound).
 """
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 
 from . import intmat, kernels
@@ -31,10 +42,6 @@ from .errors import (NormNegative, NotDualVector, NotEven, NotIntegral,
                      NotPositiveDefinite, NotSymmetric, RankBoundExceeded)
 
 DEFAULT_RANK_BOUND = 4
-
-
-def _as_fraction_tuple(vec):
-    return tuple(Fraction(x) for x in vec)
 
 
 class Coset(namedtuple("Coset", "rep order2")):
@@ -94,16 +101,6 @@ class Lattice:
     def is_even(self):
         return all(self._gram[i][i] % 2 == 0 for i in range(self._rank))
 
-    @property
-    def is_odd(self):
-        return not self.is_even
-
-    @cached_property
-    def dual_gram(self):
-        """Gram matrix of the dual basis: the exact inverse of gram."""
-        rows, den = self._dual_scaled
-        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
     @cached_property
     def _dual_scaled(self):
         """(rows, det): the dual Gram matrix as integer rows over det."""
@@ -135,11 +132,25 @@ class Lattice:
         return count_norm(self, None, 2)
 
     @cached_property
-    def torsion2_norm2_offsets(self):
-        """{rep: sorted offsets} of the norm-2 vectors of every order-<=2
+    def torsion2_norm2_records(self):
+        """{rep: sorted records} of the norm-2 vectors of every order-<=2
         coset, keyed by canonical representative; one enumeration of M.
-        Once computed, norm-2 queries on these cosets read it."""
+        A record is w + G w for w = 2v, one of each pair +-v (see the
+        module docstring).  Once computed, norm-2 queries on these cosets
+        read it."""
         return _torsion2_sweep(self)
+
+    @cached_property
+    def torsion2_norm2_offsets(self):
+        """{rep: sorted offsets} of the same vectors, both signs: the
+        offsets view of torsion2_norm2_records."""
+        n = self._rank
+        out = {}
+        for rep, recs in self.torsion2_norm2_records.items():
+            r2 = [x.numerator * 2 // x.denominator for x in rep]
+            out[rep] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
+                             for r in signed_records(recs))
+        return out
 
     @cached_property
     def is_2_elementary(self):
@@ -182,10 +193,7 @@ class DiscriminantGroup:
         gy = self.lattice.gram_times(y)
         if any(x % q for x in gy):
             raise NotDualVector("vector is not in the dual lattice")
-        return self.element_of_image([x // q for x in gy])
-
-    def element_of_image(self, gv):
-        """Group element of the dual vector v, given the integer vector G v."""
+        gv = [x // q for x in gy]
         return tuple(intmat.dot(row, gv) % d
                      for row, d in zip(self._u, self.invariant_factors))
 
@@ -215,15 +223,46 @@ class DiscriminantGroup:
         cosets = [self.coset_of_element(a) for a in product(*choices)]
         return tuple(sorted(cosets, key=lambda c: c.rep))
 
+    @cached_property
+    def torsion2_index(self):
+        """{parity key of 2 rep: coset} over torsion2_reps.
 
-def make_lattice(gram):
-    """Validate a Gram matrix and wrap it as a Lattice."""
-    return Lattice(gram)
+        The order-<=2 coset of a dual vector v with 2v in L is the value at
+        the parity key of 2v (module docstring): no Smith-form product and
+        no Fraction on the way.
+        """
+        return {parity_key([x.numerator * 2 // x.denominator
+                            for x in c.rep]): c
+                for c in self.torsion2_reps}
+
+
+def parity_key(w):
+    """The n-bit key of an integer vector w mod 2: bit j is w_j mod 2."""
+    key = 0
+    for j, c in enumerate(w):
+        key |= (c & 1) << j
+    return key
+
+
+def cached_on_lattice(fn):
+    """fn(lat), computed once per Lattice object and kept on it, as the
+    cached_property values are; an equal lattice built anew computes its
+    own, so everything derived from one sweep stays on one object."""
+    name = "_cached_" + fn.__name__
+
+    @wraps(fn)
+    def cached(lat):
+        store = lat.__dict__
+        if name not in store:
+            store[name] = fn(lat)
+        return store[name]
+
+    return cached
 
 
 def canonicalize_coset(lat, vec):
     """Canonical Coset of an arbitrary dual vector."""
-    return lat.discriminant.coset_of(_as_fraction_tuple(vec))
+    return lat.discriminant.coset_of(tuple(Fraction(x) for x in vec))
 
 
 @lru_cache(maxsize=None)
@@ -248,32 +287,95 @@ def _torsion2_basis(lat):
 
 
 def _torsion2_sweep(lat):
-    """See Lattice.torsion2_norm2_offsets and the module docstring."""
+    """See Lattice.torsion2_norm2_records and the module docstring.
+
+    The lanes.  A record w + G w of a norm-8 vector w of M has, by
+    Cauchy-Schwarz, |w_j|^2 = <w, b*_j>^2 <= 8 (G^-1)_jj (b*_j the dual
+    basis, of norm (G^-1)_jj = adj_jj / det, exact from _dual_scaled) and
+    |(G w)_j|^2 = <w, b_j>^2 <= 8 G_jj.  So every entry is at most
+    ``bound`` in absolute value, and lanes of ``width`` bits with
+    bound < 2^(width-1) hold it as a signed number.  Each reduced basis row
+    r_i of M is packed once: P_i = sum_k (r_i + G r_i)_k 2^(width k).  The
+    packing is linear, so for y over the reduced basis,
+    sum_i y_i P_i = sum_k c_k 2^(width k) with c = w + G w, whatever the
+    carries in between; adding bias = sum_k 2^(width-1) 2^(width k) makes
+    every lane c_k + 2^(width-1), in [0, 2^width), and xor with bias turns
+    each lane into the two's complement of c_k, read back by a memoryview
+    cast (lanes over 8 bytes, which need a basis skewed past 2^60, by
+    int.from_bytes).  The parity key is linear over F_2 as well: the xor
+    of the row keys over the odd y_i.
+    """
     n = lat.rank
     basis = _torsion2_basis(lat)
     reduced, h = intmat.lll_gram(sublattice_gram(lat, basis))
     # the reduced basis of M, rows over L's basis
     rows = [[intmat.dot(hi, col) for col in zip(*basis)] for hi in h]
-    # half: one of each pair +-y; -w lies in the bucket of w (-w = w mod 2)
+    adj, det = lat._dual_scaled
+    bound = max(math.isqrt(max(8 * adj[j][j] // det, 8 * lat.gram[j][j]))
+                for j in range(n))
+    nbytes = 1      # bytes per lane: 1, 2, 4, 8 (a memoryview format), ...
+    while bound >> (8 * nbytes - 1):
+        nbytes *= 2
+    width = 8 * nbytes
+    bias = sum(1 << (width * k + width - 1) for k in range(2 * n))
+    packed = [sum(c << (width * k)
+                  for k, c in enumerate(row + lat.gram_times(row)))
+              for row in rows]
+    keys = [parity_key(row) for row in rows]
+    size = 2 * n * nbytes
+    # bytes in the host's order, so that a cast reads the lanes; on a
+    # big-endian host they come out last lane first
+    order = sys.byteorder
+    step = 1 if order == "little" else -1
+    if nbytes <= 8:
+        code = "bhiq"[nbytes.bit_length() - 1]
+
+        def unpack(buf):
+            return tuple(memoryview(buf).cast(code))[::step]
+    else:
+        def unpack(buf):
+            return tuple(int.from_bytes(buf[i:i + nbytes], order, signed=True)
+                         for i in range(0, size, nbytes))[::step]
+    # half: one of each pair +-y; -w lies in the coset of w (-w = w mod 2)
     ys = kernels.enumerate_offsets(reduced, (0,) * n, 8, True)
     buckets = {}
     while ys:
         y = ys.pop()    # each y is freed once mapped
-        w = [0] * n
-        for yi, row in zip(y, rows):
+        acc = key = 0
+        for yi, p, k in zip(y, packed, keys):
             if yi:
-                w = [a + yi * b for a, b in zip(w, row)]
-        bucket = buckets.setdefault(tuple(a & 1 for a in w), [])
-        bucket.append(w)
-        bucket.append([-a for a in w])
-    out = {}
-    for coset in lat.discriminant.torsion2_reps:
-        r2 = [x.numerator * 2 // x.denominator for x in coset.rep]
-        ws = buckets.pop(tuple(a & 1 for a in r2), [])
-        ws.sort()
-        out[coset.rep] = tuple(tuple((a - b) // 2 for a, b in zip(w, r2))
-                               for w in ws)
-    return out
+                acc += yi * p
+                if yi & 1:
+                    key ^= k
+        rec = unpack(((acc + bias) ^ bias).to_bytes(size, order))
+        buckets.setdefault(key, []).append(rec)
+    return {c.rep: tuple(sorted(buckets.get(key, ())))
+            for key, c in lat.discriminant.torsion2_index.items()}
+
+
+def signed_records(recs):
+    """Both signs of the one-of-each-pair records, sorted (by w first)."""
+    return sorted(recs + tuple(tuple(-c for c in r) for r in recs))
+
+
+def norm2_records(lat, coset):
+    """The sweep's records of the norm-2 vectors of an order-<=2 coset
+    (None: L), both signs, sorted; None when the sweep has not run."""
+    recs = _swept(lat, coset, 2)
+    return None if recs is None else signed_records(recs)
+
+
+def _rep(lat, coset):
+    return coset.rep if coset is not None else (0,) * lat.rank
+
+
+def _swept(lat, coset, m):
+    """The sweep's records of the coset (None: L), when the sweep exists
+    and covers the query (norm 2 on an order-<=2 coset); else None."""
+    sweep = lat.__dict__.get("torsion2_norm2_records")
+    if m == 2 and sweep is not None:
+        return sweep.get(_rep(lat, coset))
+    return None
 
 
 def _offsets(lat, coset, m):
@@ -281,13 +383,13 @@ def _offsets(lat, coset, m):
 
     Once the one-pass sweep of the order-<=2 cosets exists (frame_cosets
     asks for it), norm-2 queries on their canonical representatives read
-    it.  Before that a single coset costs one tree of its own, which on a
-    lattice with thousands of order-<=2 cosets is far less than the sweep.
+    its offsets view.  Before that a single coset costs one tree of its
+    own, which on a lattice with thousands of order-<=2 cosets is far less
+    than the sweep.
     """
-    rep = coset.rep if coset is not None else (0,) * lat.rank
-    sweep = lat.__dict__.get("torsion2_norm2_offsets")
-    if m == 2 and sweep is not None and rep in sweep:
-        return rep, sweep[rep]
+    rep = _rep(lat, coset)
+    if _swept(lat, coset, m) is not None:
+        return rep, lat.torsion2_norm2_offsets[rep]
     m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
@@ -312,6 +414,9 @@ def vectors_of_norm(lat, coset, m):
 
 
 def count_norm(lat, coset, m):
+    recs = _swept(lat, coset, m)
+    if recs is not None:
+        return 2 * len(recs)      # one record of each pair +-v
     return len(_offsets(lat, coset, m)[1])
 
 
@@ -359,13 +464,6 @@ def orthogonal_group_order(lat, bound=None):
                      if extends(t + 1, narrow(t, v, lists[1:])))
         lists = narrow(t, tuple(int(j == it) for j in range(n)), lists[1:])
     return count
-
-
-def same_lattice(gens_a, gens_b):
-    """True iff two full-rank generator lists span the same Z-module."""
-    a = [_as_fraction_tuple(v) for v in gens_a]
-    b = [_as_fraction_tuple(v) for v in gens_b]
-    return intmat.same_row_lattice(a, b)
 
 
 def direct_sum(lat_a, lat_b):

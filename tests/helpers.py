@@ -4,8 +4,10 @@ Everything here is deliberately naive -- box enumeration, brute-force
 products, Hermite normal forms over Fractions -- so that it shares no code
 path with the package internals it checks; the exceptions, named in their
 docstrings, are the leaf-counting isometry search, which takes its
-candidate vectors from the package, and is_construction_b, which runs the
-package's decomposition.
+candidate vectors from the package, is_construction_b, which runs the
+package's decomposition, and structural_cosets_oracle, which classifies
+through the package's Smith-form route (not the parity-key index it
+checks).
 """
 
 import math
@@ -13,10 +15,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from voaplus import (extract_code, extract_frame, frame_cosets, make_code,
-                     make_lattice, same_lattice, vectors_of_norm)
+from voaplus import (Lattice, extract_code, extract_frame, frame_cosets,
+                     make_code, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite
-from voaplus.intmat import ldl
+from voaplus.intmat import adjugate, ldl, same_row_lattice
 
 
 def naive_vectors_of_norm(gram, rep, m, box=8):
@@ -138,7 +140,7 @@ def leaf_count_isometry_order(gram):
     proportional to |O(L)|, which keeps it to small ranks.
     """
     n = len(gram)
-    lat = make_lattice(gram)
+    lat = Lattice(gram)
     cands = [[tuple(int(c) for c in v)
               for v in vectors_of_norm(lat, None, gram[i][i])]
              for i in range(n)]
@@ -276,11 +278,52 @@ def construction_b_generators(frame, code, signs=None):
     return gens
 
 
+def same_lattice(gens_a, gens_b):
+    """True iff two full-rank generator lists span the same Z-module."""
+    return same_row_lattice([[Fraction(c) for c in v] for v in gens_a],
+                            [[Fraction(c) for c in v] for v in gens_b])
+
+
+def is_odd(lat):
+    """True iff some basis vector has odd norm."""
+    return not lat.is_even
+
+
+def dual_gram(lat):
+    """Gram matrix of the dual basis: the exact inverse of lat.gram."""
+    rows, den = adjugate(lat.gram)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def structural_cosets_oracle(lat, dec):
+    """(twist_plus, twist_minus) of a FrameDecomposition through Fractions.
+
+    plus = (sum_i s_i e_i)/4 and minus = plus - s_1 e_1, each classified by
+    the Smith-form route (DiscriminantGroup.coset_of) when twice it lies in
+    L and it lies in the dual, else None.
+    """
+    n = lat.rank
+    frame = dec.frame
+    plus = [sum(s * e[j] for s, e in zip(dec.signs, frame)) / 4
+            for j in range(n)]
+    minus = [p - dec.signs[0] * c for p, c in zip(plus, frame[0])]
+
+    def classify(v):
+        if any((2 * c).denominator != 1 for c in v):
+            return None
+        if any(sum(g * c for g, c in zip(row, v)).denominator != 1
+               for row in lat.gram):
+            return None
+        return lat.discriminant.coset_of(tuple(v))
+
+    return classify(plus), classify(minus)
+
+
 def rebuild_spans_lattice(dec):
     """True iff a FrameDecomposition's (code, signs, frame) generate L.
 
     The Hermite-normal-form route: the generators and the unit basis of L
-    must have the same HNF (lattice.same_lattice).
+    must have the same HNF (same_lattice).
     """
     n = len(dec.rows)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]

@@ -244,6 +244,17 @@ def test_cli_refuses_oversized_constructors(capsys, spec):
     assert "exceeds the limit %d" % SIZE_LIMIT in err
 
 
+@pytest.mark.parametrize("atom", ["A", "D"])
+def test_size_limit_pins_both_sides(capsys, atom):
+    # the limit keeps a cold analyze of A_n and D_n to seconds; the size
+    # just above it is refused up front, the limit itself parses
+    t0 = time.perf_counter()
+    assert main(["analyze", "%s%d" % (atom, SIZE_LIMIT + 1)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the limit %d" % SIZE_LIMIT in capsys.readouterr().err
+    assert parse_spec("%s%d" % (atom, SIZE_LIMIT)).rank == SIZE_LIMIT
+
+
 def test_parse_spec_accepts_sizes_up_to_the_limit():
     assert parse_spec("zero(%d)" % SIZE_LIMIT).length == SIZE_LIMIT
     assert parse_spec("A%03d" % 3).rank == 3   # leading zeros are fine
@@ -443,9 +454,11 @@ def test_perfbench_trace_runs_against_src(tmp_path):
 
 def test_bench_scripts_run_against_src():
     # bench_shortvec exits 1 when a vector count differs from its known
-    # value, bench_startup when the import pulls in a guarded module
+    # value, bench_decompose when a decomposition count does,
+    # bench_startup when the import pulls in a guarded module
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for args in (["bench_shortvec.py", "--repeat", "1"],
+                 ["bench_decompose.py", "--repeat", "1"],
                  ["bench_isometry.py", "--repeat", "1", "--max-rank", "6"],
                  ["bench_startup.py", "--repeat", "1"]):
         done = subprocess.run(

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (brute_force_lexmin_f2, construction_b_generators,
                      doubly_even_sample, is_construction_b,
                      random_doubly_even_code, random_unimodular_conjugate,
-                     rebuild_spans_lattice)
-from voaplus import (build_construction_b, canonicalize_coset, count_norm,
-                     decompose, extract_code, extract_frame, frame_cosets,
-                     hamming8, intmat, make_code, make_lattice, parse_spec,
-                     repetition_code, rm14, same_lattice, structural_cosets,
+                     rebuild_spans_lattice, same_lattice,
+                     structural_cosets_oracle)
+from voaplus import (Lattice, build_construction_b, canonicalize_coset,
+                     count_norm, decompose, extract_code, extract_frame,
+                     frame_cosets, hamming8, intmat, make_code, parse_spec,
+                     repetition_code, rm14, structural_cosets,
                      words_of_weight, zero_code)
 from voaplus.constrb import _check_rebuild, _lexmin_f2_solution
 from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
@@ -61,11 +62,11 @@ def test_root_count_matches_weight4_words_random():
 
 
 def test_frame_cosets_paper_anchors():
-    two_a1 = make_lattice([[8]])
+    two_a1 = Lattice([[8]])
     fc = frame_cosets(two_a1)
     assert fc.bound == 2
     assert [c.rep for c in fc.cosets] == [(Fraction(1, 2),)]
-    d44 = make_lattice([[4, 0], [0, 4]])
+    d44 = Lattice([[4, 0], [0, 4]])
     fc = frame_cosets(d44)
     assert fc.bound == 4
     assert [c.rep for c in fc.cosets] == [(Fraction(1, 2), Fraction(1, 2))]
@@ -89,9 +90,8 @@ def test_frame_cosets_sweeps_all_cosets_in_one_enumeration(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels, "enumerate_offsets", counting)
-    frame_cosets.cache_clear()
     lattice._cached_offsets.cache_clear()
-    lat = parse_spec("lb(rm14)")
+    lat = parse_spec("lb(rm14)")    # a fresh object: nothing stored on it
     assert len(lat.discriminant.torsion2_reps) == 256
     fc = frame_cosets(lat)
     assert len(fc.cosets) == 135 and fc.bound == 32
@@ -106,31 +106,132 @@ def test_frame_cosets_of_skewed_basis():
     # (on its own tree in this basis it took 54 s)
     gram = random_unimodular_conjugate(
         random.Random(2), parse_spec("lb(rm14)").gram, steps=80)
-    lat = make_lattice(gram)
+    lat = Lattice(gram)
     t0 = time.perf_counter()
     assert len(frame_cosets(lat).cosets) == 135
     assert lat.root_count == 0
     assert time.perf_counter() - t0 < 10.0    # about 0.3 s on a 2-core VM
 
 
+def test_equal_lattice_keeps_its_own_sweep(monkeypatch):
+    # frame_cosets and decompose are kept per Lattice object, like the
+    # sweep: an equal lattice built anew sweeps once and reads its records
+    from voaplus import kernels
+    first = parse_spec("lb(rm14)")
+    want = frame_cosets(first)
+    calls = []
+    real = kernels.enumerate_offsets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_offsets", counting)
+    lat = parse_spec("lb(rm14)")
+    assert lat == first and lat is not first
+    fc = frame_cosets(lat)
+    assert fc == want
+    frames = [extract_frame(lat, c) for c in fc.cosets]
+    assert len(frames) == 135 and len(calls) <= 1
+    assert frame_cosets(lat) is fc
+
+
+def _skewed_pair(diag, t):
+    """diag(a, b) in the basis (b0, b1 + t b0)."""
+    a, b = diag
+    return [[a, t * a], [t * a, t * t * a + b]]
+
+
+# (name, Gram matrix, the same lattice in a reduced basis, a bound that
+# some record entry reaches: 2^7 needs 2-byte lanes, 2^15 4-byte ones,
+# 2^63 lanes of more than 8 bytes)
+SKEWED = [
+    ("lb(rm14), 80 steps", random_unimodular_conjugate(
+        random.Random(2), parse_spec("lb(rm14)").gram, steps=80),
+     parse_spec("lb(rm14)").gram, 1),
+    ("A1+A1", _skewed_pair((2, 2), 94906267), [[2, 0], [0, 2]], 2 ** 15),
+    ("sqrt2*(A1+A1), t=40", _skewed_pair((4, 4), 40), [[4, 0], [0, 4]],
+     2 ** 7),
+    ("sqrt2*(A1+A1), t=2^70", _skewed_pair((4, 4), 2 ** 70),
+     [[4, 0], [0, 4]], 2 ** 63),
+]
+
+
+@pytest.mark.parametrize("name,gram,plain,reached", SKEWED,
+                         ids=[case[0] for case in SKEWED])
+def test_sweep_records_in_skewed_bases(name, gram, plain, reached):
+    # the lanes of a record are as wide as the basis is skewed: every record
+    # is w + G w for a norm-8 w in its coset, and the counts, the
+    # decompositions and the structural cosets match the reduced basis
+    lat = Lattice(gram)
+    n = lat.rank
+    sweep = lat.torsion2_norm2_records
+    for coset in lat.discriminant.torsion2_reps:
+        for r in sweep[coset.rep]:
+            w, gw = r[:n], r[n:]
+            assert list(gw) == lat.gram_times(w)
+            assert intmat.dot(w, gw) == 8
+        if sweep[coset.rep]:
+            w = sweep[coset.rep][0][:n]
+            assert canonicalize_coset(
+                lat, tuple(Fraction(c, 2) for c in w)) == coset
+    assert max(abs(c) for recs in sweep.values() for r in recs
+               for c in r) >= reached
+    plain = Lattice(plain)
+    assert (sorted(map(len, sweep.values()))
+            == sorted(map(len, plain.torsion2_norm2_records.values())))
+    assert frame_cosets(lat).counts == frame_cosets(plain).counts
+    decs = decompose(lat)
+    assert len(decs) == len(decompose(plain))
+    for dec in decs:
+        assert structural_cosets(lat, dec) == structural_cosets_oracle(lat,
+                                                                       dec)
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), conjugate=st.booleans())
+def test_decompose_from_the_sweep_matches_single_coset_route(seed, conjugate):
+    # random Construction-B lattices (their weight-4 words give roots, so
+    # the greedy passes over candidates) and conjugates of lb(rep(8)):
+    # decompose reads the sweep's records; a fresh equal lattice, never
+    # swept, enumerates each coset on its own
+    rng = random.Random(seed)
+    if conjugate:
+        gram = random_unimodular_conjugate(rng, parse_spec("lb(rep(8))").gram)
+    else:
+        n = rng.choice([4, 6, 8, 10])
+        gram = build_construction_b(
+            random_doubly_even_code(rng, n, n // 2))[0].gram
+    lat = Lattice(gram)
+    fresh = Lattice(gram)
+    decs = decompose(lat)
+    assert decs
+    assert decs == tuple(extract_code(fresh, extract_frame(fresh, c), c)
+                         for c in frame_cosets(lat).cosets)
+    assert "torsion2_norm2_records" not in fresh.__dict__
+    for dec in decs:
+        assert structural_cosets(lat, dec) == structural_cosets_oracle(lat,
+                                                                       dec)
+
+
 def test_frame_cosets_requires_even():
     with pytest.raises(NotEven):
-        frame_cosets(make_lattice([[1]]))
+        frame_cosets(Lattice([[1]]))
 
 
 def test_is_construction_b_catalog():
-    assert is_construction_b(make_lattice([[8]]))
+    assert is_construction_b(Lattice([[8]]))
     assert not is_construction_b(parse_spec("A2"))
     assert not is_construction_b(parse_spec("E8"))
     assert not is_construction_b(parse_spec("E8+E8"))
 
 
 def test_extract_frame_examples():
-    two_a1 = make_lattice([[8]])
+    two_a1 = Lattice([[8]])
     coset = frame_cosets(two_a1).cosets[0]
     frame = extract_frame(two_a1, coset).vectors
     assert frame == ((Fraction(-1, 2),),)
-    d44 = make_lattice([[4, 0], [0, 4]])
+    d44 = Lattice([[4, 0], [0, 4]])
     coset = frame_cosets(d44).cosets[0]
     frame = extract_frame(d44, coset).vectors
     assert len(frame) == 2
@@ -141,14 +242,14 @@ def test_extract_frame_examples():
 
 
 def test_extract_frame_rejects_non_qualifying():
-    lat = make_lattice([[4, 0], [0, 4]])
+    lat = Lattice([[4, 0], [0, 4]])
     bad = canonicalize_coset(lat, (Fraction(1, 2), Fraction(0)))
     with pytest.raises(CosetNotInR):
         extract_frame(lat, bad)
 
 
 def test_extract_code_roundtrips():
-    two_a1 = make_lattice([[8]])
+    two_a1 = Lattice([[8]])
     dec = decompose(two_a1)[0]
     assert dec.code.dimension == 0
     assert dec.code.length == 1
@@ -293,10 +394,9 @@ def test_decompose_works_on_integers():
     # frames stay integer rows from the sweep to the FrameDecomposition;
     # frame is a Fraction view of them
     lat = parse_spec("lb(rep(8))")
-    # the sweep makes the canonical representatives; frame_cosets may
-    # answer from its cache for an equal lattice, so ask this one
-    assert lat.torsion2_norm2_offsets and frame_cosets(lat).cosets
-    decompose.cache_clear()
+    # the sweep makes the canonical representatives; decompose has not run
+    # on this fresh object
+    assert lat.torsion2_norm2_records and frame_cosets(lat).cosets
     made = []
     new = Fraction.__new__
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import det_bareiss, naive_vectors_of_norm, random_posdef_gram
-from voaplus import make_lattice, vectors_of_norm
+from helpers import (det_bareiss, dual_gram, naive_vectors_of_norm,
+                     random_posdef_gram)
+from voaplus import Lattice, vectors_of_norm
 from voaplus.errors import NotPositiveDefinite
 from voaplus.intmat import dot, ldl
 from voaplus.kernels import enumerate_offsets
@@ -50,7 +51,7 @@ def test_ldl_refuses_at_first_nonpositive_minor(gram, minor, value):
                        match="leading minor %d is %d$" % (minor, value)):
         ldl(gram)
     with pytest.raises(NotPositiveDefinite):
-        make_lattice(gram)
+        Lattice(gram)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +94,7 @@ def test_bigint_path_matches_naive():
 
 
 def test_fractional_norm_targets():
-    lat = make_lattice([[2, 1], [1, 2]])
+    lat = Lattice([[2, 1], [1, 2]])
     # dual vectors of A2 have norms in (1/3)Z
     coset = lat.discriminant.torsion2_reps[0]
     assert vectors_of_norm(lat, coset, Fraction(1, 3)) == []
@@ -113,12 +114,13 @@ NORMS = [0, 1, 2, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
 def test_core_matches_naive_on_random_cosets(seed, n):
     gram = random_posdef_gram(random.Random(seed), n)
     assume(gram is not None)
-    lat = make_lattice(gram)
+    lat = Lattice(gram)
     cosets = lat.discriminant.torsion2_reps
     # |v_i| <= sqrt(m * G^-1_ii), so this box holds every offset; the
     # naive oracle is too slow for the boxes of badly skewed grams
     mmax = max(NORMS)
-    box = max(math.isqrt(math.ceil(mmax * lat.dual_gram[i][i])) + 1
+    dual = dual_gram(lat)
+    box = max(math.isqrt(math.ceil(mmax * dual[i][i])) + 1
               + math.ceil(abs(c.rep[i])) for i in range(n) for c in cosets)
     assume(box <= 8)
     for coset in cosets:
@@ -142,7 +144,7 @@ def test_representative_zero_walks_half_of_each_pair(seed, n):
     # zero vector comes back at norm 0 only
     gram = random_posdef_gram(random.Random(seed), n)
     assume(gram is not None)
-    dual = make_lattice(gram).dual_gram
+    dual = dual_gram(Lattice(gram))
     zero = (0,) * n
     assert enumerate_offsets(gram, zero, Fraction(0)) == [zero]
     assert enumerate_offsets(gram, zero, 0, half=True) == []

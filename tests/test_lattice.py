@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (det_bareiss, leaf_count_isometry_order,
-                     naive_isometry_order, naive_vectors_of_norm,
-                     random_posdef_gram, random_unimodular_conjugate)
-from voaplus import (canonicalize_coset, count_norm, direct_sum, make_lattice,
-                     orthogonal_group_order, parse_spec, rescale, same_lattice,
+from helpers import (det_bareiss, dual_gram, is_odd,
+                     leaf_count_isometry_order, naive_isometry_order,
+                     naive_vectors_of_norm, random_posdef_gram,
+                     random_unimodular_conjugate, same_lattice)
+from voaplus import (Lattice, canonicalize_coset, count_norm, direct_sum,
+                     orthogonal_group_order, parse_spec, rescale,
                      vectors_of_norm)
 from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
                             NotSymmetric, RankBoundExceeded)
@@ -18,36 +19,36 @@ from voaplus.lattice import _cached_offsets, _torsion2_basis
 
 
 def test_make_lattice_examples():
-    a1 = make_lattice([[2]])
+    a1 = Lattice([[2]])
     assert a1.is_even and a1.det == 2 and a1.rank == 1
-    two_a1 = make_lattice([[8]])
+    two_a1 = Lattice([[8]])
     assert two_a1.is_even and two_a1.det == 8
-    a2 = make_lattice([[2, 1], [1, 2]])
+    a2 = Lattice([[2, 1], [1, 2]])
     assert a2.is_even and a2.det == 3
-    z1 = make_lattice([[1]])
-    assert z1.is_odd
+    z1 = Lattice([[1]])
+    assert is_odd(z1)
 
 
 def test_make_lattice_rejects_bad_input():
     with pytest.raises(NotSymmetric):
-        make_lattice([[2, 1], [0, 2]])
+        Lattice([[2, 1], [0, 2]])
     with pytest.raises(NotPositiveDefinite):
-        make_lattice([[0]])
+        Lattice([[0]])
     with pytest.raises(NotPositiveDefinite):
-        make_lattice([[1, 2], [2, 1]])
+        Lattice([[1, 2], [2, 1]])
     with pytest.raises(NotIntegral):
-        make_lattice([[1.5]])
+        Lattice([[1.5]])
     with pytest.raises(NotPositiveDefinite):
-        make_lattice([])
+        Lattice([])
 
 
 def test_discriminant_group_examples():
-    assert make_lattice([[8]]).discriminant.invariant_factors == (8,)
-    assert len(make_lattice([[8]]).discriminant.torsion2_reps) == 2
+    assert Lattice([[8]]).discriminant.invariant_factors == (8,)
+    assert len(Lattice([[8]]).discriminant.torsion2_reps) == 2
     e8 = parse_spec("E8")
     assert e8.discriminant.invariant_factors == (1,) * 8
     assert len(e8.discriminant.torsion2_reps) == 1
-    d44 = make_lattice([[4, 0], [0, 4]])
+    d44 = Lattice([[4, 0], [0, 4]])
     assert d44.discriminant.invariant_factors == (4, 4)
     assert len(d44.discriminant.torsion2_reps) == 4
 
@@ -61,7 +62,7 @@ def test_discriminant_invariants_random():
         if g is None:
             continue
         seen += 1
-        lat = make_lattice(g)
+        lat = Lattice(g)
         disc = lat.discriminant
         prod = 1
         for d in disc.invariant_factors:
@@ -72,7 +73,7 @@ def test_discriminant_invariants_random():
             expect_t2 *= 2 if d % 2 == 0 else 1
         assert len(disc.torsion2_reps) == expect_t2
         # dual of the dual gram is the original
-        dg = lat.dual_gram
+        dg = dual_gram(lat)
         from voaplus.intmat import invert_fraction
         back = invert_fraction([list(r) for r in dg])
         assert [[Fraction(x) for x in row] for row in back] == \
@@ -80,7 +81,7 @@ def test_discriminant_invariants_random():
 
 
 def test_canonical_coset_is_stable():
-    lat = make_lattice([[8]])
+    lat = Lattice([[8]])
     c1 = canonicalize_coset(lat, (Fraction(1, 2),))
     c2 = canonicalize_coset(lat, (Fraction(5, 2),))   # differs by 2 in L
     c3 = canonicalize_coset(lat, (Fraction(-1, 2),))  # negative rep
@@ -90,7 +91,7 @@ def test_canonical_coset_is_stable():
 
 
 def test_vectors_of_norm_paper_examples():
-    two_a1 = make_lattice([[8]])
+    two_a1 = Lattice([[8]])
     assert vectors_of_norm(two_a1, None, 2) == []
     half = canonicalize_coset(two_a1, (Fraction(1, 2),))
     vs = vectors_of_norm(two_a1, half, 2)
@@ -100,7 +101,7 @@ def test_vectors_of_norm_paper_examples():
 
 def test_vectors_of_norm_rejects_negative():
     with pytest.raises(NormNegative):
-        vectors_of_norm(make_lattice([[2]]), None, -1)
+        vectors_of_norm(Lattice([[2]]), None, -1)
 
 
 CATALOG_SMALL = ["A1", "2A1", "sqrt2*A1", "A2", "sqrt2*(A1+A1)", "A3",
@@ -127,7 +128,7 @@ def test_enumeration_matches_naive_on_random_grams():
         if g is None:
             continue
         seen += 1
-        lat = make_lattice(g)
+        lat = Lattice(g)
         for m in [2, 5, 8]:
             got = vectors_of_norm(lat, None, m)
             assert got == naive_vectors_of_norm(g, [0] * n, m)
@@ -160,7 +161,7 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
     if n > 1:
         grams.append(random_unimodular_conjugate(rng, gram, steps=3 * n))
     for g in grams:
-        lat = make_lattice(g)
+        lat = Lattice(g)
         sweep = lat.torsion2_norm2_offsets
         cosets = lat.discriminant.torsion2_reps
         assert sorted(sweep) == sorted(c.rep for c in cosets)
@@ -176,7 +177,7 @@ def test_torsion2_sweep_buckets_match_own_trees_on_lb_rep8(steps):
     # equal the coset's own enumeration, in the catalog basis and another
     gram = random_unimodular_conjugate(
         random.Random(8), parse_spec("lb(rep(8))").gram, steps=steps)
-    lat = make_lattice(gram)
+    lat = Lattice(gram)
     sweep = lat.torsion2_norm2_offsets
     cosets = lat.discriminant.torsion2_reps
     assert len(cosets) == 256
@@ -204,7 +205,7 @@ def coset_layer_grams(seed, n, even):
 def test_canonical_rep_maps_back_to_its_element(seed, n, even):
     rng, grams = coset_layer_grams(seed, n, even)
     for g in grams:
-        disc = make_lattice(g).discriminant
+        disc = Lattice(g).discriminant
         ranges = [range(d) for d in disc.invariant_factors]
         if disc.order <= 512:
             elements = list(product(*ranges))
@@ -223,7 +224,7 @@ def test_torsion2_basis_spans_l_meet_2l_dual(seed, n, even):
     # the number of even invariant factors: together, a basis of M
     _, grams = coset_layer_grams(seed, n, even)
     for g in grams:
-        lat = make_lattice(g)
+        lat = Lattice(g)
         basis = _torsion2_basis(lat)
         assert len(basis) == n
         for x in basis:
@@ -243,8 +244,8 @@ def test_enumeration_symmetry_and_coset_closure():
 
 
 def test_isometry_group_orders():
-    assert orthogonal_group_order(make_lattice([[8]])) == 2
-    assert orthogonal_group_order(make_lattice([[4, 0], [0, 4]])) == 8
+    assert orthogonal_group_order(Lattice([[8]])) == 2
+    assert orthogonal_group_order(Lattice([[4, 0], [0, 4]])) == 8
     assert orthogonal_group_order(parse_spec("sqrt2*A3")) == 48
     assert orthogonal_group_order(parse_spec("A2")) == 12
     assert orthogonal_group_order(parse_spec("D4"), bound=4) == 1152
@@ -259,7 +260,7 @@ def test_isometry_order_matches_naive():
         if g is None:
             continue
         seen += 1
-        assert orthogonal_group_order(make_lattice(g)) == naive_isometry_order(g)
+        assert orthogonal_group_order(Lattice(g)) == naive_isometry_order(g)
 
 
 def test_isometry_order_is_even_and_bounded():
@@ -270,7 +271,7 @@ def test_isometry_order_is_even_and_bounded():
         if g is None:
             continue
         seen += 1
-        assert orthogonal_group_order(make_lattice(g)) % 2 == 0
+        assert orthogonal_group_order(Lattice(g)) % 2 == 0
     with pytest.raises(RankBoundExceeded):
         orthogonal_group_order(parse_spec("E8"))
 
@@ -280,7 +281,7 @@ def test_isometry_order_is_even_and_bounded():
 def test_isometry_order_matches_leaf_count(seed, n):
     g = random_posdef_gram(random.Random(seed), n)
     assume(g is not None)
-    got = orthogonal_group_order(make_lattice(g))
+    got = orthogonal_group_order(Lattice(g))
     assert got == leaf_count_isometry_order(g)
     if n <= 3:
         assert got == naive_isometry_order(g)
@@ -294,8 +295,8 @@ def test_isometry_order_invariant_under_random_basis_change(seed, n):
     assume(g is not None)
     # rank 1 has no basis change but the sign
     skewed = random_unimodular_conjugate(rng, g) if n > 1 else g
-    assert (orthogonal_group_order(make_lattice(skewed))
-            == orthogonal_group_order(make_lattice(g)))
+    assert (orthogonal_group_order(Lattice(skewed))
+            == orthogonal_group_order(Lattice(g)))
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -304,7 +305,7 @@ def test_isometry_order_invariant_under_basis_change(spec, order):
     gram = parse_spec(spec).gram
     rng = random.Random(spec)
     for _ in range(4):
-        lat = make_lattice(random_unimodular_conjugate(rng, gram))
+        lat = Lattice(random_unimodular_conjugate(rng, gram))
         assert orthogonal_group_order(lat, bound=lat.rank) == order
 
 
@@ -337,7 +338,7 @@ def test_same_lattice_examples():
 
 
 def test_rescale_and_direct_sum():
-    a1 = make_lattice([[2]])
+    a1 = Lattice([[2]])
     assert rescale(a1, 4).gram == ((8,),)
     d = direct_sum(a1, rescale(a1, 2))
     assert d.gram == ((2, 0), (0, 4))
@@ -348,7 +349,7 @@ def test_rescale_and_direct_sum():
 def test_two_elementary_and_totally_even():
     assert parse_spec("lb(rep(8))").is_2_elementary
     assert parse_spec("lb(rep(8))").is_totally_even
-    assert not make_lattice([[8]]).is_2_elementary
+    assert not Lattice([[8]]).is_2_elementary
     assert parse_spec("E8").is_2_elementary   # trivial discriminant
     assert parse_spec("E8").is_totally_even   # dual of unimodular is itself
     assert not parse_spec("A2").is_totally_even

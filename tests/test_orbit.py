@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
-from voaplus import (build_construction_b, classify_modules, condition_a,
-                     condition_b, condition_c, fusion_space, make_lattice,
+from voaplus import (Lattice, build_construction_b, classify_modules,
+                     condition_a, condition_b, condition_c, fusion_space,
                      module_orbit, parse_spec, repetition_code, rm14,
                      twisted_character_count, twisted_character_count_mod2,
                      zero_code)
@@ -18,8 +18,8 @@ def test_twisted_character_count_anchors():
     lat, _ = build_construction_b(repetition_code(8))
     assert twisted_character_count(lat) == 256   # all of L/2L
     # the rank-1 root lattice: both routes give 2
-    assert twisted_character_count(make_lattice([[2]])) == 2
-    assert twisted_character_count_mod2(make_lattice([[2]])) == 2
+    assert twisted_character_count(Lattice([[2]])) == 2
+    assert twisted_character_count_mod2(Lattice([[2]])) == 2
 
 
 def test_twisted_count_routes_agree_on_catalog():
@@ -42,7 +42,7 @@ def test_twisted_count_identities_on_random_lattices(seed, n):
                        for row in gram))
     other = random_unimodular_conjugate(rng, gram) if n > 1 else gram
     for g in (gram, other):
-        lat = make_lattice(g)
+        lat = Lattice(g)
         assert twisted_character_count(lat) == naive
         assert len(lat.discriminant.torsion2_reps) == naive
         assert twisted_character_count_mod2(lat) == naive
@@ -53,7 +53,7 @@ def test_classify_modules_counts():
     assert (e8.untwisted_signed, e8.untwisted_plain, e8.twisted) == (2, 0, 2)
     assert e8.total == 4
 
-    two_a1 = classify_modules(make_lattice([[8]]))
+    two_a1 = classify_modules(Lattice([[8]]))
     assert two_a1.untwisted_signed == 4
     assert two_a1.untwisted_plain == 3
     assert two_a1.twisted == 4
@@ -66,7 +66,7 @@ def test_classify_modules_counts():
 
 def test_classify_requires_even():
     with pytest.raises(NotEven):
-        classify_modules(make_lattice([[1]]))
+        classify_modules(Lattice([[1]]))
 
 
 def test_conditions_on_anchor_lattices():
@@ -98,7 +98,7 @@ def test_condition_a_on_root_full_lattice():
 
 
 def test_orbit_shapes():
-    two_a1 = module_orbit(make_lattice([[8]]))
+    two_a1 = module_orbit(Lattice([[8]]))
     assert two_a1.size == 3
     assert two_a1.twisted_sign is None
     labels = [c.label() for c in two_a1.classes]
@@ -141,9 +141,9 @@ def test_twisted_gates():
 
 
 def test_fusion_space_sizes():
-    f = fusion_space(make_lattice([[8]]))
+    f = fusion_space(Lattice([[8]]))
     assert (f.size, f.dim, f.gl_order) == (4, 2, 6)
-    f = fusion_space(make_lattice([[4, 0], [0, 4]]))
+    f = fusion_space(Lattice([[4, 0], [0, 4]]))
     assert (f.size, f.dim) == (4, 2)
     f = fusion_space(parse_spec("E8+E8"))
     assert (f.size, f.dim, f.gl_order) == (2, 1, 1)
@@ -173,7 +173,7 @@ def test_classify_counts_invariant_under_basis_change():
             assert abs(det_bareiss(u)) == 1
             g = mat_mul(mat_mul(u, [list(r) for r in lat.gram]),
                         [[u[j][i] for j in range(n)] for i in range(n)])
-            other = classify_modules(make_lattice(g))
+            other = classify_modules(Lattice(g))
             assert other == base
 
 

@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import det_bareiss, solve_integral
-from voaplus import (analyze, aut_order, build_construction_b, make_lattice,
+from voaplus import (Lattice, analyze, aut_order, build_construction_b,
                      odd_split, parse_spec, repetition_code, stabilizer_order,
                      unimodular_report, vectors_of_norm)
 from voaplus.errors import NotEven, NotOdd, NotUnimodular
 
 
 def test_stabilizer_order_worked_cases():
-    assert stabilizer_order(make_lattice([[8]])) == (2, None)
-    assert stabilizer_order(make_lattice([[4, 0], [0, 4]])) == (16, None)
+    assert stabilizer_order(Lattice([[8]])) == (2, None)
+    assert stabilizer_order(Lattice([[4, 0], [0, 4]])) == (16, None)
     assert stabilizer_order(parse_spec("sqrt2*A3")) == (192, None)
     order, reason = stabilizer_order(parse_spec("A2"))
     assert order is None and reason == "roots present"
@@ -23,8 +23,8 @@ def test_stabilizer_order_worked_cases():
 
 
 def test_aut_orders_worked_cases():
-    assert aut_order(make_lattice([[8]])) == 6       # S3
-    assert aut_order(make_lattice([[4, 0], [0, 4]])) == 48   # S4 x Z2
+    assert aut_order(Lattice([[8]])) == 6       # S3
+    assert aut_order(Lattice([[4, 0], [0, 4]])) == 48   # S4 x Z2
     assert aut_order(parse_spec("sqrt2*A3")) == 576
     assert aut_order(parse_spec("A2")) is None
 
@@ -53,7 +53,7 @@ def test_sqrt2_e8_aut_order_is_o_plus_10_2():
 
 def test_analyze_requires_even():
     with pytest.raises(NotEven):
-        analyze(make_lattice([[1]]))
+        analyze(Lattice([[1]]))
 
 
 def test_unimodular_verdicts():
@@ -65,7 +65,7 @@ def test_unimodular_verdicts():
 
 
 def test_odd_split_rank1():
-    rep = odd_split(make_lattice([[1]]))
+    rep = odd_split(Lattice([[1]]))
     assert rep.even_part.gram == ((4,),)
     assert rep.even_part.is_even
     # index 2: determinant scales by 4
@@ -95,11 +95,11 @@ def test_odd_split_rank2():
 
 def test_odd_split_requires_odd():
     with pytest.raises(NotOdd):
-        odd_split(make_lattice([[2]]))
+        odd_split(Lattice([[2]]))
 
 
 def test_odd_split_mixed_diagonal():
-    lat = make_lattice([[1, 0], [0, 2]])
+    lat = Lattice([[1, 0], [0, 2]])
     rep = odd_split(lat)
     assert rep.even_part.is_even
     assert rep.even_part.det == 4 * lat.det
@@ -120,7 +120,7 @@ def test_odd_coset_has_odd_norms():
 # CLI exit code, and whether assert statements are live (__debug__).
 BROKEN_SPLIT = """
 import voaplus.report as report
-from voaplus import cli, make_lattice, odd_split, parse_spec
+from voaplus import cli, Lattice, odd_split, parse_spec
 from voaplus.errors import InternalCheckError
 from voaplus.lattice import sublattice_gram
 
@@ -129,7 +129,7 @@ real = report.even_sublattice
 def index8(lat):
     sub, basis, alpha = real(lat)
     basis = tuple(tuple(2 * x for x in row) for row in basis)
-    return make_lattice(sublattice_gram(lat, basis)), basis, alpha
+    return Lattice(sublattice_gram(lat, basis)), basis, alpha
 
 report.even_sublattice = index8
 try:
