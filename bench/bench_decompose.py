@@ -8,7 +8,7 @@ case's best time over ``--repeat`` runs.  Then, in one more run, counts
 the work as deterministic numbers: calls of the enumeration kernel
 (``kernels.enumerate_offsets``), of ``Lattice.gram_times``, and the
 ``Fraction`` objects created.  Exits with status 1 unless every case
-yields its known number of decompositions.
+yields its known number of decompositions in one kernel call (the sweep).
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 """
@@ -83,8 +83,11 @@ def main():
         if count != known:
             wrong.append("%s: %d decompositions, expected %d"
                          % (spec, count, known))
+        if kernel > 1:
+            wrong.append("%s: %d kernel calls, expected 1" % (spec, kernel))
     if wrong:
-        sys.exit("wrong decomposition counts:\n" + "\n".join(wrong))
+        sys.exit("wrong decomposition counts or kernel calls:\n"
+                 + "\n".join(wrong))
 
 
 if __name__ == "__main__":

@@ -249,7 +249,3 @@ def rm14_subcode(code):
         raise CrossCheckFailed("RM(1,4) witness has weights %s"
                                % witness.weight_distribution)
     return witness
-
-
-def has_rm14_subcode(code):
-    return rm14_subcode(code) is not None

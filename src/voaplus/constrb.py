@@ -12,10 +12,10 @@ equality into a free runtime oracle.
 Frames stay integral from the sweep to the output: a Frame holds its
 vectors as integer rows over one scale q, e_i = rows[i] / q, together with
 the rows G rows[i], and a FrameDecomposition keeps (q, rows).  Fractions
-appear only in the ``vectors``/``frame`` views.  On a swept lattice both
-come straight from the sweep's records w + G w (lattice module docstring):
-the rows are the w over q = 2, and the greedy computes no G y.  The
-structural cosets are looked up by the parity key of twice the vector
+appear only in the ``vectors``/``frame`` views.  Frames come only from the
+sweep's records w + G w (lattice module docstring): the rows are the w
+over q = 2, and the greedy computes no G y.  The structural cosets are
+looked up by the parity key of twice the vector
 (DiscriminantGroup.torsion2_index), not through the Smith form.
 
 The rebuild check.  Let R be the lattice that (code, signs, frame)
@@ -40,8 +40,8 @@ from . import intmat
 from .codes import _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import (Lattice, cached_on_lattice, norm2_records, parity_key,
-                      require_even, scaled_vectors_of_norm)
+from .lattice import (Lattice, cached_on_lattice, parity_key, require_even,
+                      signed_records)
 
 
 class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
@@ -160,27 +160,18 @@ def extract_frame(lat, coset):
 
     Picks the lexicographically smallest norm-2 vector orthogonal to the
     ones already chosen; guaranteed to reach full rank for cosets meeting
-    the bound.  Returns a Frame over the coset's scale.  Orthogonality is
-    tested on the integer rows, against the G y of the vectors chosen,
-    which the Frame keeps.  The membership precondition is checked on the
-    coset itself (its count against the bound), not by sweeping the whole
-    torsion subgroup.
-
-    Once the sweep exists (frame_cosets), the candidates are its records
-    w + G w, w = 2v: a qualifying coset is a nontrivial order-2 one (the
-    trivial coset holds the roots alone, fewer than the bound), so its
-    vectors are the rows w over the scale 2, with G w at hand.  Without
-    the sweep the coset is enumerated on its own and G y computed here.
+    the bound.  The candidates are the sweep's records w + G w, w = 2v: a
+    qualifying coset is a nontrivial order-2 one (the trivial coset holds
+    the roots alone, fewer than the bound), so the Frame has scale 2, its
+    rows are the w and its pairings the G w.  The membership precondition
+    is checked on the coset itself (its count against the bound).
     """
     require_even(lat)
     n = lat.rank
+    sweep = lat.torsion2_norm2_records      # first, so root_count reads it
     bound = 2 * n + lat.root_count
-    recs = norm2_records(lat, coset)
-    if recs is not None:
-        q, ys = 2, [r[:n] for r in recs]
-    else:
-        q, ys = scaled_vectors_of_norm(lat, coset, 2)
-    count = len(ys)
+    recs = signed_records(sweep.get(coset.rep, ()))
+    count = len(recs)
     if not coset.order2 or count < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
                           % coset.label())
@@ -190,13 +181,13 @@ def extract_frame(lat, coset):
             % (coset.label(), count, bound))
     rows = []
     pairings = []
-    for i, y in enumerate(ys):
+    for r in recs:
+        y = r[:n]
         if all(intmat.dot(y, gy) == 0 for gy in pairings):
             rows.append(y)
-            pairings.append(recs[i][n:] if recs is not None
-                            else tuple(lat.gram_times(y)))
+            pairings.append(r[n:])
             if len(rows) == n:
-                return Frame(scale=q, rows=tuple(rows),
+                return Frame(scale=2, rows=tuple(rows),
                              pairings=tuple(pairings))
     raise Incomplete("frame extraction stalled at %d of %d vectors"
                      % (len(rows), lat.rank))

@@ -79,10 +79,6 @@ class NotOdd(PreconditionError):
     pass
 
 
-class NotUnimodular(PreconditionError):
-    pass
-
-
 class NotDoublyEven(PreconditionError):
     pass
 

@@ -4,8 +4,9 @@ Fraction-free LDL and adjugates (Bareiss), Hermite normal forms, Smith
 forms as (diag, U) with U the left transform, dense Fraction inverses and
 the integral LLL reduction of a Gram matrix, all over plain Python
 arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
-this package stay tiny (rank <= 20), so the straightforward algorithms are
-the right ones.
+this package stay modest (catalog ranks up to 16, constructor sizes up to
+catalog.SIZE_LIMIT = 128), so the straightforward algorithms are the right
+ones.
 """
 
 import math

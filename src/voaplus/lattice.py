@@ -21,13 +21,17 @@ basis; the kernel hands over one vector of each pair +-w (kernels,
 half=True), and -w lies in w's coset, as -w = w mod 2.
 
 Each swept vector is kept as a record: the tuple w + G w of 2n integers
-over L's basis, G w being the pairings <w, b_j>.  Records are what the
-frame greedy of constrb reads; the offsets view is derived from them on
-demand.  A record costs one multiply-add per nonzero coordinate of the
-reduced-basis vector y: every reduced basis row is packed once, with its
-G-image, into one int of 2n signed lanes, and w + G w = sum_i y_i P_i is
-read back from the lanes of the sum (see _torsion2_sweep for the lane
-bound).
+over L's basis, G w being the pairings <w, b_j>.  The records are the one
+stored copy of the sweep.  The frame greedy of constrb reads them, and so
+do norm-2 counts on those cosets once they exist (count_norm, root_count);
+vectors_of_norm always lists a coset from its own tree.  A record costs
+one multiply-add per nonzero coordinate of the reduced-basis vector y:
+every reduced basis row is packed once, with its G-image, into one int of
+2n signed lanes, and w + G w = sum_i y_i P_i is read back from the lanes
+of the sum (see _torsion2_sweep for the lane bound).
+
+The sweep refuses a lattice with more than 2^TORSION2_LIMIT order-<=2
+cosets (DimensionTooLarge) before it builds any of them.
 """
 
 import math
@@ -38,10 +42,14 @@ from functools import cached_property, lru_cache, wraps
 from itertools import product
 
 from . import intmat, kernels
-from .errors import (NormNegative, NotDualVector, NotEven, NotIntegral,
-                     NotPositiveDefinite, NotSymmetric, RankBoundExceeded)
+from .errors import (DimensionTooLarge, NormNegative, NotDualVector, NotEven,
+                     NotIntegral, NotPositiveDefinite, NotSymmetric,
+                     RankBoundExceeded)
 
 DEFAULT_RANK_BOUND = 4
+# at most 2^16 order-<=2 cosets: every lattice of rank <= 16 (a cold
+# analyze of lb(zero(16)) takes about 9 s on a 2-core machine)
+TORSION2_LIMIT = 16
 
 
 class Coset(namedtuple("Coset", "rep order2")):
@@ -136,21 +144,9 @@ class Lattice:
         """{rep: sorted records} of the norm-2 vectors of every order-<=2
         coset, keyed by canonical representative; one enumeration of M.
         A record is w + G w for w = 2v, one of each pair +-v (see the
-        module docstring).  Once computed, norm-2 queries on these cosets
-        read it."""
+        module docstring).  Once computed, count_norm reads it for norm 2
+        on these cosets."""
         return _torsion2_sweep(self)
-
-    @cached_property
-    def torsion2_norm2_offsets(self):
-        """{rep: sorted offsets} of the same vectors, both signs: the
-        offsets view of torsion2_norm2_records."""
-        n = self._rank
-        out = {}
-        for rep, recs in self.torsion2_norm2_records.items():
-            r2 = [x.numerator * 2 // x.denominator for x in rep]
-            out[rep] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
-                             for r in signed_records(recs))
-        return out
 
     @cached_property
     def is_2_elementary(self):
@@ -183,10 +179,6 @@ class DiscriminantGroup:
         # (rows, |det G|) with rows = |det G| (UG)^-1
         self._reps = intmat.adjugate([lat.gram_times(r) for r in u])
 
-    @property
-    def order(self):
-        return math.prod(self.invariant_factors)
-
     def element_of(self, vec):
         """Group element (a_i mod d_i) of a dual vector (ints or Fractions)."""
         (y,), q = intmat.scaled_integer_rows([vec])
@@ -215,9 +207,23 @@ class DiscriminantGroup:
         zero = tuple([0] * self.lattice.rank)
         return self.coset_of_element(zero)
 
+    def check_torsion2_size(self):
+        """Raise DimensionTooLarge above 2^TORSION2_LIMIT order-<=2 cosets.
+
+        There are 2^k of them, k the number of even invariant factors; this
+        builds none.
+        """
+        k = sum(1 for d in self.invariant_factors if d % 2 == 0)
+        if k > TORSION2_LIMIT:
+            raise DimensionTooLarge(
+                "refusing to build 2^%d order-<=2 cosets (limit 2^%d)"
+                % (k, TORSION2_LIMIT))
+
     @cached_property
     def torsion2_reps(self):
-        """All cosets of order <= 2, the trivial one included, in canonical order."""
+        """All cosets of order <= 2, the trivial one included, in canonical
+        order; checked against the size limit first."""
+        self.check_torsion2_size()
         choices = [(0, d // 2) if d % 2 == 0 else (0,)
                    for d in self.invariant_factors]
         cosets = [self.coset_of_element(a) for a in product(*choices)]
@@ -306,6 +312,7 @@ def _torsion2_sweep(lat):
     of the row keys over the odd y_i.
     """
     n = lat.rank
+    index = lat.discriminant.torsion2_index     # the size check comes first
     basis = _torsion2_basis(lat)
     reduced, h = intmat.lll_gram(sublattice_gram(lat, basis))
     # the reduced basis of M, rows over L's basis
@@ -350,7 +357,7 @@ def _torsion2_sweep(lat):
         rec = unpack(((acc + bias) ^ bias).to_bytes(size, order))
         buckets.setdefault(key, []).append(rec)
     return {c.rep: tuple(sorted(buckets.get(key, ())))
-            for key, c in lat.discriminant.torsion2_index.items()}
+            for key, c in index.items()}
 
 
 def signed_records(recs):
@@ -358,49 +365,14 @@ def signed_records(recs):
     return sorted(recs + tuple(tuple(-c for c in r) for r in recs))
 
 
-def norm2_records(lat, coset):
-    """The sweep's records of the norm-2 vectors of an order-<=2 coset
-    (None: L), both signs, sorted; None when the sweep has not run."""
-    recs = _swept(lat, coset, 2)
-    return None if recs is None else signed_records(recs)
-
-
-def _rep(lat, coset):
-    return coset.rep if coset is not None else (0,) * lat.rank
-
-
-def _swept(lat, coset, m):
-    """The sweep's records of the coset (None: L), when the sweep exists
-    and covers the query (norm 2 on an order-<=2 coset); else None."""
-    sweep = lat.__dict__.get("torsion2_norm2_records")
-    if m == 2 and sweep is not None:
-        return sweep.get(_rep(lat, coset))
-    return None
-
-
 def _offsets(lat, coset, m):
-    """(rep, offsets) of the vectors of norm m in the coset (None: L).
-
-    Once the one-pass sweep of the order-<=2 cosets exists (frame_cosets
-    asks for it), norm-2 queries on their canonical representatives read
-    its offsets view.  Before that a single coset costs one tree of its
-    own, which on a lattice with thousands of order-<=2 cosets is far less
-    than the sweep.
-    """
-    rep = _rep(lat, coset)
-    if _swept(lat, coset, m) is not None:
-        return rep, lat.torsion2_norm2_offsets[rep]
+    """(rep, offsets) of the vectors of norm m in the coset (None: L),
+    from the coset's own cached tree, whether or not the sweep exists."""
+    rep = coset.rep if coset is not None else (0,) * lat.rank
     m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
     return rep, _cached_offsets(lat, rep, m)
-
-
-def scaled_vectors_of_norm(lat, coset, m):
-    """vectors_of_norm as (q, integer rows): each vector is a row over q."""
-    rep, offsets = _offsets(lat, coset, m)
-    (rnum,), q = intmat.scaled_integer_rows([rep])
-    return q, [tuple(q * x + r for x, r in zip(off, rnum)) for off in offsets]
 
 
 def vectors_of_norm(lat, coset, m):
@@ -409,14 +381,26 @@ def vectors_of_norm(lat, coset, m):
     ``coset`` may be a Coset or None for the lattice itself.  Enumeration is
     exact integer arithmetic throughout (see kernels).
     """
-    q, rows = scaled_vectors_of_norm(lat, coset, m)
-    return [tuple(Fraction(y, q) for y in row) for row in rows]
+    rep, offsets = _offsets(lat, coset, m)
+    (rnum,), q = intmat.scaled_integer_rows([rep])
+    return [tuple(Fraction(q * x + r, q) for x, r in zip(off, rnum))
+            for off in offsets]
 
 
 def count_norm(lat, coset, m):
-    recs = _swept(lat, coset, m)
-    if recs is not None:
-        return 2 * len(recs)      # one record of each pair +-v
+    """The number of vectors of norm m in the coset (None: L).
+
+    Once the sweep exists, a norm-2 count on an order-<=2 coset reads its
+    records (one of each pair +-v).  Every other count lists the coset's
+    own tree.  So root_count does not force the sweep, which builds all
+    2^k order-<=2 cosets: for 2 I_14 that took 1.5 s against 1 ms for the
+    roots' own tree, on a 2-core machine.
+    """
+    sweep = lat.__dict__.get("torsion2_norm2_records")
+    if m == 2 and sweep is not None:
+        recs = sweep.get(coset.rep if coset is not None else (0,) * lat.rank)
+        if recs is not None:
+            return 2 * len(recs)
     return len(_offsets(lat, coset, m)[1])
 
 

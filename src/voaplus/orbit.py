@@ -38,15 +38,6 @@ class ModuleClass(namedtuple("ModuleClass", "kind coset sign count",
         return "[chi]^%s x%d" % (self.sign, self.count)
 
 
-class ModuleCounts(namedtuple("ModuleCounts",
-                              "untwisted_signed untwisted_plain twisted")):
-    __slots__ = ()
-
-    @property
-    def total(self):
-        return self.untwisted_signed + self.untwisted_plain + self.twisted
-
-
 class ConditionWitness(namedtuple("ConditionWitness", "holds coset detail",
                                   defaults=(None, ""))):
     __slots__ = ()
@@ -90,18 +81,6 @@ def twisted_character_count_mod2(lat):
     require_even(lat)
     rows = [sum(1 << j for j, x in enumerate(r) if x % 2) for r in lat.gram]
     return 2 ** (lat.rank - len(_rref(rows)))
-
-
-def classify_modules(lat):
-    """Counts of the three module-class shapes."""
-    require_even(lat)
-    disc = lat.discriminant
-    torsion2 = len(disc.torsion2_reps)
-    signed = 2 * torsion2
-    plain = (disc.order - torsion2) // 2
-    twisted = 2 * twisted_character_count(lat)
-    return ModuleCounts(untwisted_signed=signed, untwisted_plain=plain,
-                        twisted=twisted)
 
 
 def condition_a(lat):

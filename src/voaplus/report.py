@@ -14,8 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .constrb import decompose, frame_cosets
-from .errors import (NotOdd, NotUnimodular, RankBoundExceeded,
-                     SplitCheckFailed)
+from .errors import NotOdd, RankBoundExceeded, SplitCheckFailed
 from .lattice import (Lattice, canonicalize_coset,
                       orthogonal_group_order, require_even, sublattice_gram)
 from .orbit import fusion_space, module_orbit
@@ -80,14 +79,6 @@ def stabilizer_order(lat, bound=None):
     return _stabilizer_from_isometry(lat, isometry)
 
 
-def aut_order(lat, bound=None):
-    """Full automorphism-group order, when the stabilizer order is known."""
-    h, reason = stabilizer_order(lat, bound)
-    if h is None:
-        return None
-    return h * module_orbit(lat).size
-
-
 def analyze(lat, bound=None):
     """Run the full even-lattice pipeline and assemble an AutReport."""
     require_even(lat)
@@ -123,28 +114,6 @@ def analyze(lat, bound=None):
         exceeds_stabilizer=q > 1,
         notes=tuple(notes),
     )
-
-
-class UnimodularVerdict(namedtuple("UnimodularVerdict",
-                                   "rank orbit_size index description")):
-    __slots__ = ()
-
-
-def unimodular_report(lat, bound=None):
-    """Index of the stabilizer inside the full group, for det-1 lattices."""
-    require_even(lat)
-    if lat.det != 1:
-        raise NotUnimodular("determinant is %d, not 1" % lat.det)
-    rep = analyze(lat, bound)
-    q = rep.orbit_size
-    if q == 2:
-        desc = "Aut = Stab . Z2 (index 2)"
-    elif q == 1:
-        desc = "Aut = Stab (index 1)"
-    else:  # would contradict the unimodular classification
-        desc = "Aut : Stab = %d" % q
-    return UnimodularVerdict(rank=lat.rank, orbit_size=q, index=q,
-                             description=desc)
 
 
 class OddReport(namedtuple("OddReport", (

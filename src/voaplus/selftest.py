@@ -4,7 +4,8 @@ Every catalog entry carries its pinned invariants; this module recomputes
 them and reports one named check per comparison, plus the cross-catalog
 properties (the exceeds-stabilizer equivalence, fusion sizes being powers
 of two, the two twisted-count routes agreeing, the one-pass norm-2 sweep of
-the order-<=2 cosets agreeing with one enumeration per coset).
+the order-<=2 cosets agreeing with one enumeration per coset: the signed
+records' w against 2 (x + rep) for each offset x of the coset's own tree).
 Internal-assertion errors surface as failed checks rather than aborting the
 sweep.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 from . import kernels
 from .catalog import CATALOG
 from .errors import VoaplusError
+from .lattice import signed_records
 from .orbit import twisted_character_count, twisted_character_count_mod2
 from .report import analyze, odd_split
 
@@ -113,10 +115,15 @@ def run_selftest(bound=None):
         except VoaplusError as exc:
             out(name + ".twisted_count_routes_agree", False, str(exc))
         lat = rep.lattice
-        sweep = lat.torsion2_norm2_offsets
-        bad = [c.label() for c in lat.discriminant.torsion2_reps
-               if sweep[c.rep] != tuple(
-                   kernels.enumerate_offsets(lat.gram, c.rep, Fraction(2)))]
+        n = lat.rank
+        sweep = lat.torsion2_norm2_records
+        bad = []
+        for c in lat.discriminant.torsion2_reps:
+            r2 = [x.numerator * 2 // x.denominator for x in c.rep]
+            own = [tuple(2 * x + r for x, r in zip(off, r2)) for off in
+                   kernels.enumerate_offsets(lat.gram, c.rep, Fraction(2))]
+            if [r[:n] for r in signed_records(sweep[c.rep])] != own:
+                bad.append(c.label())
         out(name + ".torsion2_routes_agree", not bad,
             "sweep and per-coset enumeration differ on %s" % ", ".join(bad))
 

@@ -5,9 +5,10 @@ products, Hermite normal forms over Fractions -- so that it shares no code
 path with the package internals it checks; the exceptions, named in their
 docstrings, are the leaf-counting isometry search, which takes its
 candidate vectors from the package, is_construction_b, which runs the
-package's decomposition, and structural_cosets_oracle, which classifies
+package's decomposition, structural_cosets_oracle, which classifies
 through the package's Smith-form route (not the parity-key index it
-checks).
+checks), and single_coset_frame and sweep_offsets, which read one
+coset's own tree and the sweep's records.
 """
 
 import math
@@ -15,10 +16,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from voaplus import (Lattice, extract_code, extract_frame, frame_cosets,
-                     make_code, vectors_of_norm)
+from voaplus import (Frame, Lattice, extract_code, extract_frame,
+                     frame_cosets, make_code, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite
-from voaplus.intmat import adjugate, ldl, same_row_lattice
+from voaplus.intmat import (adjugate, dot, ldl, same_row_lattice,
+                            scaled_integer_rows)
+from voaplus.lattice import signed_records
 
 
 def naive_vectors_of_norm(gram, rep, m, box=8):
@@ -338,3 +341,39 @@ def is_construction_b(lat):
         return False
     extract_code(lat, extract_frame(lat, fc.cosets[0]), fc.cosets[0])
     return True
+
+
+def single_coset_frame(lat, coset):
+    """extract_frame's greedy frame, from the coset's own tree.
+
+    The candidates are vectors_of_norm(lat, coset, 2), one enumeration of
+    that coset alone (never the sweep), as integer rows over the scale of
+    the coset representative, and each pairing row G y is computed here.
+    """
+    n = lat.rank
+    (_,), q = scaled_integer_rows([coset.rep])
+    rows, pairings = [], []
+    for v in vectors_of_norm(lat, coset, 2):
+        y = tuple(int(c * q) for c in v)
+        if all(dot(y, gy) == 0 for gy in pairings):
+            rows.append(y)
+            pairings.append(tuple(lat.gram_times(y)))
+            if len(rows) == n:
+                return Frame(scale=q, rows=tuple(rows),
+                             pairings=tuple(pairings))
+    raise AssertionError("no frame in coset %s" % coset.label())
+
+
+def sweep_offsets(lat):
+    """{rep: offsets} of the sweep's norm-2 vectors, both signs, sorted.
+
+    Each record's w is 2 (x + rep), so the offset is x = (w - 2 rep) / 2;
+    the order is the records' (by w), which is the lex order of x.
+    """
+    n = lat.rank
+    out = {}
+    for rep, recs in lat.torsion2_norm2_records.items():
+        r2 = [int(2 * c) for c in rep]
+        out[rep] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
+                         for r in signed_records(recs))
+    return out

@@ -255,6 +255,16 @@ def test_size_limit_pins_both_sides(capsys, atom):
     assert parse_spec("%s%d" % (atom, SIZE_LIMIT)).rank == SIZE_LIMIT
 
 
+def test_analyze_refuses_more_than_2_to_16_order2_cosets(capsys):
+    # lb(zero(17)) has 2^17 order-<=2 cosets: refused before the sweep
+    # builds any of them (lb(zero(16)) takes about 9 s cold, and it doubles)
+    t0 = time.perf_counter()
+    assert main(["analyze", "lb(zero(17))"]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert "refusing to build 2^17 order-<=2 cosets (limit 2^16)" in err
+
+
 def test_parse_spec_accepts_sizes_up_to_the_limit():
     assert parse_spec("zero(%d)" % SIZE_LIMIT).length == SIZE_LIMIT
     assert parse_spec("A%03d" % 3).rank == 3   # leading zeros are fine

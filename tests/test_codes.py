@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_doubly_even_code
-from voaplus import (hamming8, has_rm14_subcode, make_code, repetition_code,
-                     rm14, rm14_subcode, words_of_weight, zero_code)
+from voaplus import (hamming8, make_code, repetition_code, rm14, rm14_subcode,
+                     words_of_weight, zero_code)
 from voaplus.codes import word_from_string
 from voaplus.errors import DimensionTooLarge, LengthMismatch, WrongLength
 
@@ -103,9 +103,9 @@ def test_rm14_subcode_detection():
     c = rm14()
     w = rm14_subcode(c)
     assert w == c
-    assert not has_rm14_subcode(zero_code(16))
+    assert rm14_subcode(zero_code(16)) is None
     with pytest.raises(WrongLength):
-        has_rm14_subcode(hamming8())
+        rm14_subcode(hamming8())
 
 
 def test_rm14_subcode_in_extension():
@@ -115,7 +115,7 @@ def test_rm14_subcode_in_extension():
     ext = make_code(16, list(c.basis) + [extra])
     assert ext.dimension == 6
     assert ext.is_doubly_even
-    assert has_rm14_subcode(ext)
+    assert rm14_subcode(ext) is not None
     got = rm14_subcode(ext)
     assert got.weight_distribution == {0: 1, 8: 30, 16: 1}
 
@@ -134,7 +134,7 @@ def test_rm14_subcode_invariant_under_permutation():
                     w |= 1 << perm[i]
             permuted.append(w)
         pc = make_code(16, permuted)
-        assert has_rm14_subcode(pc)
+        assert rm14_subcode(pc) is not None
         assert pc.weight_distribution == {0: 1, 8: 30, 16: 1}
 
 

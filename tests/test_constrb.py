@@ -12,7 +12,7 @@ from helpers import (brute_force_lexmin_f2, construction_b_generators,
                      doubly_even_sample, is_construction_b,
                      random_doubly_even_code, random_unimodular_conjugate,
                      rebuild_spans_lattice, same_lattice,
-                     structural_cosets_oracle)
+                     single_coset_frame, structural_cosets_oracle)
 from voaplus import (Lattice, build_construction_b, canonicalize_coset,
                      count_norm, decompose, extract_code, extract_frame,
                      frame_cosets, hamming8, intmat, make_code, parse_spec,
@@ -136,6 +136,28 @@ def test_equal_lattice_keeps_its_own_sweep(monkeypatch):
     assert frame_cosets(lat) is fc
 
 
+def test_extract_frame_on_a_fresh_lattice_sweeps_once(monkeypatch):
+    # extract_frame reads the sweep itself, before root_count, so a fresh
+    # object costs one kernel call: the sweep, which root_count then reads
+    from voaplus import kernels, lattice
+    first = parse_spec("lb(rm14)")
+    coset = frame_cosets(first).cosets[0]
+    lattice._cached_offsets.cache_clear()   # no tree of an earlier test
+    calls = []
+    real = kernels.enumerate_offsets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_offsets", counting)
+    lat = parse_spec("lb(rm14)")
+    frame = extract_frame(lat, coset)
+    assert len(calls) == 1
+    assert frame.scale == 2 and len(frame.rows) == 16
+    assert frame == single_coset_frame(first, coset)
+
+
 def _skewed_pair(diag, t):
     """diag(a, b) in the basis (b0, b1 + t b0)."""
     a, b = diag
@@ -193,8 +215,8 @@ def test_sweep_records_in_skewed_bases(name, gram, plain, reached):
 def test_decompose_from_the_sweep_matches_single_coset_route(seed, conjugate):
     # random Construction-B lattices (their weight-4 words give roots, so
     # the greedy passes over candidates) and conjugates of lb(rep(8)):
-    # decompose reads the sweep's records; a fresh equal lattice, never
-    # swept, enumerates each coset on its own
+    # decompose reads the sweep's records; on a fresh equal lattice, never
+    # swept, the oracle enumerates each coset on its own
     rng = random.Random(seed)
     if conjugate:
         gram = random_unimodular_conjugate(rng, parse_spec("lb(rep(8))").gram)
@@ -206,7 +228,7 @@ def test_decompose_from_the_sweep_matches_single_coset_route(seed, conjugate):
     fresh = Lattice(gram)
     decs = decompose(lat)
     assert decs
-    assert decs == tuple(extract_code(fresh, extract_frame(fresh, c), c)
+    assert decs == tuple(extract_code(fresh, single_coset_frame(fresh, c), c)
                          for c in frame_cosets(lat).cosets)
     assert "torsion2_norm2_records" not in fresh.__dict__
     for dec in decs:

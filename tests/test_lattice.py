@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -8,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (det_bareiss, dual_gram, is_odd,
                      leaf_count_isometry_order, naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
-                     random_unimodular_conjugate, same_lattice)
+                     random_unimodular_conjugate, same_lattice, sweep_offsets)
 from voaplus import (Lattice, canonicalize_coset, count_norm, direct_sum,
                      orthogonal_group_order, parse_spec, rescale,
                      vectors_of_norm)
-from voaplus.errors import (NormNegative, NotIntegral, NotPositiveDefinite,
-                            NotSymmetric, RankBoundExceeded)
+from voaplus.errors import (DimensionTooLarge, NormNegative, NotIntegral,
+                            NotPositiveDefinite, NotSymmetric,
+                            RankBoundExceeded)
 from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import _cached_offsets, _torsion2_basis
 
@@ -162,7 +165,7 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
         grams.append(random_unimodular_conjugate(rng, gram, steps=3 * n))
     for g in grams:
         lat = Lattice(g)
-        sweep = lat.torsion2_norm2_offsets
+        sweep = sweep_offsets(lat)
         cosets = lat.discriminant.torsion2_reps
         assert sorted(sweep) == sorted(c.rep for c in cosets)
         for coset in cosets:
@@ -178,13 +181,49 @@ def test_torsion2_sweep_buckets_match_own_trees_on_lb_rep8(steps):
     gram = random_unimodular_conjugate(
         random.Random(8), parse_spec("lb(rep(8))").gram, steps=steps)
     lat = Lattice(gram)
-    sweep = lat.torsion2_norm2_offsets
+    sweep = sweep_offsets(lat)
     cosets = lat.discriminant.torsion2_reps
     assert len(cosets) == 256
     assert sorted(sweep) == sorted(c.rep for c in cosets)
     for coset in cosets:
         own = _cached_offsets(lat, coset.rep, Fraction(2))
         assert sweep[coset.rep] == own, coset.rep
+
+
+def test_vectors_of_norm_on_a_swept_lattice_lists_the_own_tree():
+    # the sweep changes no listing: every coset still comes from its own
+    # tree, equal to the sweep's offsets
+    lat = parse_spec("lb(rep(8))")
+    sweep = sweep_offsets(lat)
+    for coset in lat.discriminant.torsion2_reps[::17]:
+        own = _cached_offsets(lat, coset.rep, Fraction(2))
+        want = [tuple(x + r for x, r in zip(off, coset.rep)) for off in own]
+        assert vectors_of_norm(lat, coset, 2) == want
+        assert own == sweep[coset.rep]
+        assert count_norm(lat, coset, 2) == len(want)
+
+
+def test_root_count_does_not_force_the_sweep():
+    # 2 I_14 has 2^14 order-<=2 cosets: the sweep would build them all,
+    # while the roots alone are one small tree
+    lat = Lattice([[2 * (i == j) for j in range(14)] for i in range(14)])
+    t0 = time.perf_counter()
+    assert lat.root_count == 28
+    assert time.perf_counter() - t0 < 0.1
+    assert "torsion2_norm2_records" not in lat.__dict__
+    assert "torsion2_reps" not in lat.discriminant.__dict__
+
+
+def test_torsion2_size_limit():
+    # lb(zero(16)) has 2^16 order-<=2 cosets, the most allowed; the check
+    # builds none of them.  lb(zero(17)) is refused before the sweep.
+    disc = parse_spec("lb(zero(16))").discriminant
+    disc.check_torsion2_size()
+    assert "torsion2_reps" not in disc.__dict__
+    big = parse_spec("lb(zero(17))")
+    with pytest.raises(DimensionTooLarge, match="2\\^17"):
+        big.torsion2_norm2_records
+    assert "torsion2_reps" not in big.discriminant.__dict__
 
 
 def coset_layer_grams(seed, n, even):
@@ -207,7 +246,7 @@ def test_canonical_rep_maps_back_to_its_element(seed, n, even):
     for g in grams:
         disc = Lattice(g).discriminant
         ranges = [range(d) for d in disc.invariant_factors]
-        if disc.order <= 512:
+        if math.prod(disc.invariant_factors) <= 512:
             elements = list(product(*ranges))
         else:
             elements = [tuple(rng.choice(r) for r in ranges)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import det_bareiss, solve_integral
-from voaplus import (Lattice, analyze, aut_order, build_construction_b,
-                     odd_split, parse_spec, repetition_code, stabilizer_order,
-                     unimodular_report, vectors_of_norm)
-from voaplus.errors import NotEven, NotOdd, NotUnimodular
+from voaplus import (Lattice, analyze, build_construction_b, odd_split,
+                     parse_spec, repetition_code, stabilizer_order,
+                     vectors_of_norm)
+from voaplus.errors import NotEven, NotOdd
 
 
 def test_stabilizer_order_worked_cases():
@@ -23,10 +23,10 @@ def test_stabilizer_order_worked_cases():
 
 
 def test_aut_orders_worked_cases():
-    assert aut_order(Lattice([[8]])) == 6       # S3
-    assert aut_order(Lattice([[4, 0], [0, 4]])) == 48   # S4 x Z2
-    assert aut_order(parse_spec("sqrt2*A3")) == 576
-    assert aut_order(parse_spec("A2")) is None
+    assert analyze(Lattice([[8]])).aut_order == 6       # S3
+    assert analyze(Lattice([[4, 0], [0, 4]])).aut_order == 48   # S4 x Z2
+    assert analyze(parse_spec("sqrt2*A3")).aut_order == 576
+    assert analyze(parse_spec("A2")).aut_order is None
 
 
 def test_analyze_consistency():
@@ -57,11 +57,10 @@ def test_analyze_requires_even():
 
 
 def test_unimodular_verdicts():
-    assert unimodular_report(parse_spec("E8")).index == 2
-    assert unimodular_report(parse_spec("E8+E8")).index == 1
-    assert unimodular_report(parse_spec("Gamma16")).index == 1
-    with pytest.raises(NotUnimodular):
-        unimodular_report(parse_spec("A2"))
+    # the index of the stabilizer in Aut is the orbit size
+    assert analyze(parse_spec("E8")).orbit_size == 2
+    assert analyze(parse_spec("E8+E8")).orbit_size == 1
+    assert analyze(parse_spec("Gamma16")).orbit_size == 1
 
 
 def test_odd_split_rank1():

@@ -14,8 +14,8 @@ from voaplus.constrb import (Frame, FrameCosets, FrameDecomposition,
                              StructuralCosets)
 from voaplus.lattice import Coset
 from voaplus.orbit import (ConditionWitness, FusionSpace, ModuleClass,
-                           ModuleCounts, OrbitReport)
-from voaplus.report import AutReport, OddReport, UnimodularVerdict
+                           OrbitReport)
+from voaplus.report import AutReport, OddReport
 from voaplus.selftest import Check
 
 
@@ -56,14 +56,10 @@ SAMPLES = {
     "StructuralCosets": lambda: StructuralCosets(twist_plus=_coset(0),
                                                  twist_minus=None),
     "ModuleClass": lambda: ModuleClass(kind="plain", coset=_coset("1/3")),
-    "ModuleCounts": lambda: ModuleCounts(untwisted_signed=2,
-                                         untwisted_plain=1, twisted=4),
     "ConditionWitness": lambda: ConditionWitness(True, _coset(0), "why"),
     "OrbitReport": _orbit,
     "FusionSpace": lambda: FusionSpace(size=4, dim=2, gl_order=6),
     "AutReport": _aut_report,
-    "UnimodularVerdict": lambda: UnimodularVerdict(
-        rank=8, orbit_size=1, index=1, description="Aut = Stab (index 1)"),
     "OddReport": lambda: OddReport(
         lattice=parse_spec("Z1"), even_part=parse_spec("2A1"),
         even_basis=((2,),), odd_rep=(Fraction(1),), odd_rep_norm=Fraction(1),
@@ -81,7 +77,6 @@ FIELDS = {
     "FrameDecomposition": ("coset", "scale", "rows", "code", "signs"),
     "StructuralCosets": ("twist_plus", "twist_minus"),
     "ModuleClass": ("kind", "coset", "sign", "count"),
-    "ModuleCounts": ("untwisted_signed", "untwisted_plain", "twisted"),
     "ConditionWitness": ("holds", "coset", "detail"),
     "OrbitReport": ("classes", "frame_coset_set", "twisted_sign",
                     "twisted_count", "cond_a", "cond_b", "cond_c"),
@@ -91,7 +86,6 @@ FIELDS = {
                   "orbit", "fusion", "orbit_size", "index_over_stabilizer",
                   "isometry_order", "stabilizer_order", "stabilizer_reason",
                   "aut_order", "exceeds_stabilizer", "notes"),
-    "UnimodularVerdict": ("rank", "orbit_size", "index", "description"),
     "OddReport": ("lattice", "even_part", "even_basis", "odd_rep",
                   "odd_rep_norm", "odd_coset", "odd_coset_in_orbit",
                   "even_report", "aut_order"),
