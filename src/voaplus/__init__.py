@@ -15,7 +15,7 @@ from .orbit import (ModuleClass, OrbitReport, condition_a, condition_b,
                     condition_c, fusion_space, module_orbit,
                     twisted_character_count, twisted_character_count_mod2)
 from .report import AutReport, OddReport, analyze, odd_split, stabilizer_order
-from .catalog import CATALOG, CatalogEntry, catalog_entry, parse_spec
+from .catalog import CATALOG, CatalogEntry, parse_spec
 from .selftest import run_selftest
 
 __version__ = "0.1.0"

@@ -414,10 +414,3 @@ CATALOG = (
                  {"dim": 5, "doubly_even": True, "all_one": True,
                   "weights": {0: 1, 8: 30, 16: 1}}),
 )
-
-
-def catalog_entry(name):
-    for entry in CATALOG:
-        if entry.name == name:
-            return entry
-    raise UnknownName("no catalog entry named %r" % name)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NotPositiveDefinite, RankDeficient
+from .serialize import int_str
 
 
 def xgcd(a, b):
@@ -64,7 +65,7 @@ def ldl(gram):
         if lam[k][k] <= 0:
             raise NotPositiveDefinite(
                 "gram matrix is not positive definite: leading minor %d "
-                "is %d" % (k + 1, lam[k][k]))
+                "is %s" % (k + 1, int_str(lam[k][k])))
         d[k + 1] = lam[k][k]
     return d, lam
 

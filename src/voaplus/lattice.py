@@ -45,6 +45,7 @@ from . import intmat, kernels
 from .errors import (DimensionTooLarge, NormNegative, NotDualVector, NotEven,
                      NotIntegral, NotPositiveDefinite, NotSymmetric,
                      RankBoundExceeded)
+from .serialize import vec_text
 
 DEFAULT_RANK_BOUND = 4
 # at most 2^16 order-<=2 cosets: every lattice of rank <= 16 (a cold
@@ -58,7 +59,7 @@ class Coset(namedtuple("Coset", "rep order2")):
     __slots__ = ()
 
     def label(self):
-        return "(" + ", ".join(str(c) for c in self.rep) + ")"
+        return vec_text(self.rep)
 
 
 class Lattice:

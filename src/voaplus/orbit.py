@@ -7,7 +7,8 @@ order-<=2 cosets, and twisted classes [chi]^+/-, counted per sign but never
 individually constructed.  The orbit of [0]^- consists of [0]^- itself,
 both signed classes over every coset meeting the norm-2 bound, and -- only
 when one of the three structural conditions below holds -- all twisted
-classes of one sign.
+classes of one sign.  Each condition is a plain bool; (a) and (b) are read
+off the Construction-B decompositions by one cross-checked loop.
 
 There are |(L meet 2L*)/2L| twisted classes per sign.  Halving identifies
 that group with the order-<=2 cosets that carry the signed classes:
@@ -36,11 +37,6 @@ class ModuleClass(namedtuple("ModuleClass", "kind coset sign count",
         if self.kind == "signed":
             return "[%s]^%s" % (self.coset.label(), self.sign)
         return "[chi]^%s x%d" % (self.sign, self.count)
-
-
-class ConditionWitness(namedtuple("ConditionWitness", "holds coset detail",
-                                  defaults=(None, ""))):
-    __slots__ = ()
 
 
 class OrbitReport(namedtuple("OrbitReport", "classes frame_coset_set "
@@ -83,77 +79,62 @@ def twisted_character_count_mod2(lat):
     return 2 ** (lat.rank - len(_rref(rows)))
 
 
-def condition_a(lat):
-    """Construction from a length-8 doubly even code with the all-one word.
-
-    Checked frame by frame over every qualifying coset; each extracted
-    code's all-one membership is cross-checked against the equivalent
-    quarter-sum-offset coset test, and a hit implies the lattice is
-    2-elementary totally even.
-    """
+def _frame_condition(lat, rank, has_code, twist, disagree):
+    """Whether lat has rank `rank` and some decomposition's code passes
+    `has_code`.  On every decomposition the answer must match whether the
+    structural coset named `twist` is a frame coset; if not, raises
+    CrossCheckFailed(disagree)."""
     require_even(lat)
-    if lat.rank != 8:
-        return ConditionWitness(False, detail="rank != 8")
+    if lat.rank != rank:
+        return False
     cosets = set(frame_cosets(lat).cosets)
-    hit = None
+    holds = False
     for dec in decompose(lat):
-        has_allone = dec.code.contains_all_one
-        sc = structural_cosets(lat, dec)
-        marker_in = sc.twist_minus is not None and sc.twist_minus in cosets
-        if has_allone != marker_in:
-            raise CrossCheckFailed(
-                "all-one membership and quarter-offset coset disagree")
-        if has_allone and hit is None:
-            hit = dec
-    if hit is not None and not (lat.is_2_elementary and lat.is_totally_even):
+        passes = has_code(dec.code)
+        marker = getattr(structural_cosets(lat, dec), twist)
+        if passes != (marker is not None and marker in cosets):
+            raise CrossCheckFailed(disagree)
+        holds = holds or passes
+    return holds
+
+
+def condition_a(lat):
+    """(a): L comes from a length-8 doubly even code with the all-one word.
+
+    Cross-checked against the quarter-offset coset on every decomposition;
+    a hit must be a 2-elementary totally even lattice."""
+    holds = _frame_condition(
+        lat, 8, lambda code: code.contains_all_one, "twist_minus",
+        "all-one membership and quarter-offset coset disagree")
+    if holds and not (lat.is_2_elementary and lat.is_totally_even):
         raise CrossCheckFailed(
             "all-one construction on a lattice that is not "
             "2-elementary totally even")
-    if hit is None:
-        return ConditionWitness(False, detail="no frame code has the all-one word")
-    return ConditionWitness(True, coset=hit.coset, detail="all-one codeword")
+    return holds
 
 
 def condition_b(lat):
-    """Construction from a length-16 doubly even code with an RM(1,4) subcode.
-
-    The witness subcode test is cross-checked against the quarter-sum
-    coset criterion on every decomposition.
-    """
-    require_even(lat)
-    if lat.rank != 16:
-        return ConditionWitness(False, detail="rank != 16")
-    cosets = set(frame_cosets(lat).cosets)
-    hit = None
-    for dec in decompose(lat):
-        witness = rm14_subcode(dec.code)
-        sc = structural_cosets(lat, dec)
-        marker_in = sc.twist_plus is not None and sc.twist_plus in cosets
-        if (witness is not None) != marker_in:
-            raise CrossCheckFailed(
-                "Reed-Muller subcode and quarter-sum coset disagree")
-        if witness is not None and hit is None:
-            hit = dec
-    if hit is None:
-        return ConditionWitness(False, detail="no frame code has an RM(1,4) subcode")
-    return ConditionWitness(True, coset=hit.coset, detail="RM(1,4) subcode")
+    """(b): L comes from a length-16 doubly even code with an RM(1,4)
+    subcode, cross-checked against the quarter-sum coset on every
+    decomposition."""
+    return _frame_condition(
+        lat, 16, lambda code: rm14_subcode(code) is not None, "twist_plus",
+        "Reed-Muller subcode and quarter-sum coset disagree")
 
 
 def condition_c(lat):
-    """The unique even unimodular rank-8 lattice (by rank/det/evenness)."""
+    """(c): L is the even unimodular rank-8 lattice (by rank and det)."""
     require_even(lat)
-    holds = lat.rank == 8 and lat.det == 1
-    return ConditionWitness(holds, detail="rank 8, determinant 1"
-                            if holds else "not even unimodular of rank 8")
+    return lat.rank == 8 and lat.det == 1
 
 
 def module_orbit(lat):
     """The orbit of the distinguished class [0]^- as an OrbitReport."""
     require_even(lat)
     fc = frame_cosets(lat)
-    ca = condition_a(lat)
-    cb = condition_b(lat)
-    cc = condition_c(lat)
+    cond_a = condition_a(lat)
+    cond_b = condition_b(lat)
+    cond_c = condition_c(lat)
 
     classes = [ModuleClass(kind="signed", coset=lat.trivial_coset, sign="-")]
     for coset in fc.cosets:
@@ -162,9 +143,9 @@ def module_orbit(lat):
 
     twisted_sign = None
     twisted_count = 0
-    if ca.holds or cc.holds:
+    if cond_a or cond_c:
         twisted_sign = "-"
-    elif cb.holds:
+    elif cond_b:
         twisted_sign = "+"
     if twisted_sign is not None:
         twisted_count = twisted_character_count(lat)
@@ -172,7 +153,7 @@ def module_orbit(lat):
                                    count=twisted_count))
     return OrbitReport(classes=tuple(classes), frame_coset_set=fc,
                        twisted_sign=twisted_sign, twisted_count=twisted_count,
-                       cond_a=ca.holds, cond_b=cb.holds, cond_c=cc.holds)
+                       cond_a=cond_a, cond_b=cond_b, cond_c=cond_c)
 
 
 class FusionSpace(namedtuple("FusionSpace", "size dim gl_order")):

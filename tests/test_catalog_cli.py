@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,8 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from voaplus import (BinaryCode, CATALOG, Lattice, catalog_entry, parse_spec,
-                     serialize)
+from voaplus import BinaryCode, CATALOG, Lattice, parse_spec, serialize
 from voaplus.catalog import SIZE_LIMIT
 from voaplus.cli import main
 from voaplus.errors import LengthMismatch, ParseError, UnknownName
@@ -69,9 +69,9 @@ def test_parse_round_trips_catalog():
 
 
 def test_catalog_lookup():
-    assert catalog_entry("E8").constructor == "E8"
-    with pytest.raises(UnknownName):
-        catalog_entry("nope")
+    by_name = {entry.name: entry for entry in CATALOG}
+    assert len(by_name) == len(CATALOG)
+    assert by_name["E8"].constructor == "E8"
 
 
 def test_catalog_spans_ranks_1_to_16():
@@ -171,6 +171,43 @@ def test_cli_odd_json_prints_integers_past_the_str_limit(capsys):
     assert doc["even_part"]["det"] == LONG_EVEN_DET
     # the long numbers are JSON numbers, as every other integer
     assert '"det": %s,' % LONG_DET in out
+
+
+def _long_coset_file(tmp_path):
+    # G = H G0 H' with G0 the Gram of lb(zero(4)) and H = I + 10^1500 on
+    # the subdiagonal: every entry has at most 3001 digits, so it parses,
+    # but the order-2 coset representatives in this basis have over 4300
+    g0 = parse_spec("lb(zero(4))").gram
+    n, t = len(g0), 10 ** 1500
+    h = [[1 if i == j else t if i == j + 1 else 0 for j in range(n)]
+         for i in range(n)]
+    hg = [[sum(h[i][k] * g0[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    gram = [[sum(hg[i][k] * h[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    path = tmp_path / "long_coset.json"
+    path.write_text(json.dumps({"gram": gram}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["analyze", "--format", "json"],
+                                  ["orbit"]])
+def test_cli_prints_coset_labels_past_the_str_limit(tmp_path, capsys, args):
+    assert main(args[:1] + [_long_coset_file(tmp_path)] + args[1:]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert re.search(r"\d{4301}", out)
+
+
+def test_cli_not_positive_definite_past_the_str_limit(capsys):
+    # the second leading minor 1 - 10^6000 has 6000 digits
+    big = "1" + "0" * 3000
+    assert main(["analyze", "gram([[1,%s],[%s,1]])" % (big, big)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "input error: gram matrix is not positive definite: leading minor 2 "
+        "is -" + "9" * 6000 + "\n")
 
 
 @pytest.mark.parametrize("n", [0, 7, -7, 10 ** 4300 - 1, 10 ** 4300,
@@ -470,11 +507,16 @@ def test_bench_scripts_run_against_src():
     for args in (["bench_shortvec.py", "--repeat", "1"],
                  ["bench_decompose.py", "--repeat", "1"],
                  ["bench_isometry.py", "--repeat", "1", "--max-rank", "6"],
-                 ["bench_startup.py", "--repeat", "1"]):
+                 ["bench_startup.py", "--repeat", "1"],
+                 ["cli_digest.py", "2A1"]):
         done = subprocess.run(
             [sys.executable, str(REPO / "bench" / args[0])] + args[1:],
             env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+    # cli_digest: one "sha256 exit-code command" line per command
+    lines = [line.split(" ", 2) for line in done.stdout.splitlines()]
+    assert [(len(sha), code) for sha, code, _ in lines] == [(64, "0")] * 6
+    assert lines[0][2] == "voaplus analyze 2A1"
 
 
 @pytest.mark.parametrize("module", ["voaplus.cli", "voaplus"])

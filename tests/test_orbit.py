@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -71,30 +75,60 @@ def test_classify_requires_even():
 
 def test_conditions_on_anchor_lattices():
     lat8, _ = build_construction_b(repetition_code(8))
-    assert condition_a(lat8).holds
-    assert not condition_b(lat8).holds
-    assert not condition_c(lat8).holds
+    assert condition_a(lat8) is True
+    assert condition_b(lat8) is False
+    assert condition_c(lat8) is False
 
     lat16, _ = build_construction_b(rm14())
-    assert not condition_a(lat16).holds
-    assert condition_b(lat16).holds
-    assert not condition_c(lat16).holds
+    assert condition_a(lat16) is False
+    assert condition_b(lat16) is True
+    assert condition_c(lat16) is False
 
     e8 = parse_spec("E8")
-    assert not condition_a(e8).holds   # no qualifying coset at all
-    assert not condition_b(e8).holds
-    assert condition_c(e8).holds
+    assert condition_a(e8) is False   # no qualifying coset at all
+    assert condition_b(e8) is False
+    assert condition_c(e8) is True
 
     lat4, _ = build_construction_b(zero_code(4))
-    assert not condition_a(lat4).holds
-    assert not condition_b(lat4).holds
-    assert not condition_c(lat4).holds
+    assert condition_a(lat4) is False
+    assert condition_b(lat4) is False
+    assert condition_c(lat4) is False
 
 
 def test_condition_a_on_root_full_lattice():
     # the length-8 Hamming construction has roots but still satisfies (a)
-    assert condition_a(parse_spec("lb(hamming8)")).holds
-    assert condition_a(parse_spec("D8")).holds
+    assert condition_a(parse_spec("lb(hamming8)")) is True
+    assert condition_a(parse_spec("D8")) is True
+
+
+# Drops both markers from every structural coset, so the coset side of the
+# (a) and (b) cross-checks always says no while the code side says yes.
+# Prints the CLI exit code and whether assert statements are live.
+LOST_MARKER = """
+import sys
+import voaplus.orbit as orbit
+from voaplus import cli
+
+real = orbit.structural_cosets
+
+def unmarked(lat, dec):
+    return real(lat, dec)._replace(twist_plus=None, twist_minus=None)
+
+orbit.structural_cosets = unmarked
+print(cli.main(["analyze", sys.argv[1]]), __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("spec", ["lb(rep(8))", "lb(rm14)"])
+def test_condition_cross_checks_survive_optimize(spec, flags):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable] + flags + ["-c", LOST_MARKER, spec],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["4", str(not flags)]
+    assert "internal check failed" in done.stderr
+    assert "disagree" in done.stderr
 
 
 def test_orbit_shapes():

@@ -13,8 +13,7 @@ from voaplus.codes import BinaryCode
 from voaplus.constrb import (Frame, FrameCosets, FrameDecomposition,
                              StructuralCosets)
 from voaplus.lattice import Coset
-from voaplus.orbit import (ConditionWitness, FusionSpace, ModuleClass,
-                           OrbitReport)
+from voaplus.orbit import FusionSpace, ModuleClass, OrbitReport
 from voaplus.report import AutReport, OddReport
 from voaplus.selftest import Check
 
@@ -56,7 +55,6 @@ SAMPLES = {
     "StructuralCosets": lambda: StructuralCosets(twist_plus=_coset(0),
                                                  twist_minus=None),
     "ModuleClass": lambda: ModuleClass(kind="plain", coset=_coset("1/3")),
-    "ConditionWitness": lambda: ConditionWitness(True, _coset(0), "why"),
     "OrbitReport": _orbit,
     "FusionSpace": lambda: FusionSpace(size=4, dim=2, gl_order=6),
     "AutReport": _aut_report,
@@ -77,7 +75,6 @@ FIELDS = {
     "FrameDecomposition": ("coset", "scale", "rows", "code", "signs"),
     "StructuralCosets": ("twist_plus", "twist_minus"),
     "ModuleClass": ("kind", "coset", "sign", "count"),
-    "ConditionWitness": ("holds", "coset", "detail"),
     "OrbitReport": ("classes", "frame_coset_set", "twisted_sign",
                     "twisted_count", "cond_a", "cond_b", "cond_c"),
     "FusionSpace": ("size", "dim", "gl_order"),
@@ -131,8 +128,6 @@ def test_value_type_defaults_and_repr():
     assert (m.kind, m.coset, m.sign, m.count) == ("twisted", None, "-", 4)
     assert m.label() == "[chi]^- x4"
     assert ModuleClass("plain", _coset(0)).count == 1
-    w = ConditionWitness(False)
-    assert (w.holds, w.coset, w.detail) == (False, None, "")
     c = Check("x", True)
     assert (c.name, c.ok, c.detail) == ("x", True, "")
     assert repr(_coset("1/2", 0)) == (
