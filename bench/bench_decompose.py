@@ -7,18 +7,23 @@ of the orbit conditions -- on a freshly parsed lattice, and prints each
 case's best time over ``--repeat`` runs.  Then, in one more run, counts
 the work as deterministic numbers: calls of the enumeration kernel
 (``kernels.enumerate_offsets``), of ``Lattice.gram_times``, and the
-``Fraction`` objects created.  Exits with status 1 unless every case
-yields its known number of decompositions in one kernel call (the sweep).
+``Fraction`` objects created.  Two more runs count ``decompose`` alone, on
+a fresh lattice (the sweep included): its calls of ``intmat.dot``, and
+its function calls under cProfile, built-in ones included.  Exits with
+status 1 unless every case yields its known number of decompositions in
+one kernel call (the sweep).
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 """
 
 import argparse
+import cProfile
+import pstats
 import sys
 import time
 from fractions import Fraction
 
-from voaplus import kernels, lattice, parse_spec
+from voaplus import intmat, kernels, lattice, parse_spec
 from voaplus.constrb import decompose
 from voaplus.orbit import module_orbit
 
@@ -64,13 +69,38 @@ def counted(lat):
     return counts["kernel"], counts["gram_times"], counts["fractions"]
 
 
+def decompose_calls(spec):
+    """(intmat.dot calls, calls under cProfile) of decompose on a fresh
+    lattice, each from its own run."""
+    dots = [0]
+    dot = intmat.dot
+
+    def counting(u, v):
+        dots[0] += 1
+        return dot(u, v)
+
+    lattice._cached_offsets.cache_clear()
+    lat = parse_spec(spec)
+    intmat.dot = counting
+    try:
+        decompose(lat)
+    finally:
+        intmat.dot = dot
+    lattice._cached_offsets.cache_clear()
+    lat = parse_spec(spec)
+    prof = cProfile.Profile()
+    prof.runcall(decompose, lat)
+    return dots[0], pstats.Stats(prof).total_calls
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    print("%-12s %10s %6s %8s %11s %10s" % (
-        "lattice", "best [s]", "decs", "kernel", "gram_times", "Fractions"))
+    print("%-12s %10s %6s %8s %11s %10s %9s %9s" % (
+        "lattice", "best [s]", "decs", "kernel", "gram_times", "Fractions",
+        "dot", "calls"))
     wrong = []
     for spec, known in CASES:
         best = float("inf")
@@ -78,8 +108,10 @@ def main():
             seconds, count = run(parse_spec(spec))
             best = min(best, seconds)
         kernel, gram, fractions = counted(parse_spec(spec))
-        print("%-12s %10.4f %6d %8d %11d %10d"
-              % (spec, best, count, kernel, gram, fractions), flush=True)
+        dots, calls = decompose_calls(spec)
+        print("%-12s %10.4f %6d %8d %11d %10d %9d %9d"
+              % (spec, best, count, kernel, gram, fractions, dots, calls),
+              flush=True)
         if count != known:
             wrong.append("%s: %d decompositions, expected %d"
                          % (spec, count, known))

@@ -27,10 +27,15 @@ from .constrb import build_construction_b
 from .errors import ParseError, UnknownName
 from .lattice import Lattice, direct_sum, rescale
 
-# Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...).
-# A cold ``analyze`` of a root lattice grows about as n^4: on a 2-core
-# machine A128 took 5 s and D128 8 s, while D144 took 10 s and D160 15 s.
+# Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...),
+# and largest rank of a direct sum, a gram(...) literal or a file's Gram
+# matrix.  A cold ``analyze`` of a root lattice grows about as n^4: on a
+# 2-core machine A128 took 5 s and D128 8 s, while D144 took 10 s and D160
+# 15 s.
 SIZE_LIMIT = 128
+# Deepest nesting of parentheses, scalings and lb(...): each level costs
+# the parser a few stack frames, and Python allows about a thousand.
+DEPTH_LIMIT = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<word>[0-9]*[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<int>-?[0-9]+)"
@@ -66,6 +71,13 @@ def _int(digits, pos):
         return int(digits)
     except ValueError:
         raise ParseError("integer literal too long", position=pos) from None
+
+
+def _check_rank(rank, pos=None):
+    """Refuse a lattice of rank above SIZE_LIMIT before it is built."""
+    if rank > SIZE_LIMIT:
+        raise ParseError("rank %d exceeds the limit %d" % (rank, SIZE_LIMIT),
+                         position=pos)
 
 
 def _size(digits, pos):
@@ -148,6 +160,17 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos):
+        """parse() one level deeper, refused past DEPTH_LIMIT levels."""
+        if self.depth == DEPTH_LIMIT:
+            raise ParseError("nesting deeper than %d levels" % DEPTH_LIMIT,
+                             position=pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def peek(self):
         return self.tokens[self.i]
@@ -170,17 +193,18 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        terms = [self.term()]
         while True:
             kind, val, pos = self.peek()
-            if kind == "sym" and val == "+":
-                self.next()
-                rhs = self.term()
-                if not isinstance(value, Lattice) or not isinstance(rhs, Lattice):
-                    raise ParseError("direct sum needs two lattices", position=pos)
-                value = direct_sum(value, rhs)
-            else:
-                return value
+            if kind != "sym" or val != "+":
+                return terms[0] if len(terms) == 1 else direct_sum(*terms)
+            self.next()
+            rhs = self.term()
+            if not isinstance(terms[-1], Lattice) or not isinstance(rhs, Lattice):
+                raise ParseError("direct sum needs two lattices", position=pos)
+            terms.append(rhs)
+            # the summands are built, their sum only once the ranks fit
+            _check_rank(sum(t.rank for t in terms), pos)
 
     def term(self):
         kind, val, pos = self.peek()
@@ -190,7 +214,7 @@ class _Parser:
                     kind == "int" or val == "sqrt2"):
                 self.next()
                 self.next()
-                inner = self.term()
+                inner = self.nested(self.term, pos)
                 if not isinstance(inner, Lattice):
                     raise ParseError("scaling needs a lattice", position=pos)
                 if kind == "word":
@@ -205,7 +229,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "sym" and val == "(":
             self.next()
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             self.expect_sym(")")
             return value
         if kind == "word":
@@ -229,7 +253,7 @@ class _Parser:
             return self.code_literal()
         if word == "lb" and call:
             self.expect_sym("(")
-            inner = self.expr()
+            inner = self.nested(self.expr, pos)
             self.expect_sym(")")
             if not isinstance(inner, BinaryCode):
                 raise ParseError("lb(...) needs a code", position=pos)
@@ -265,6 +289,7 @@ class _Parser:
                     break
                 raise ParseError("expected ',' or ']'", position=pos)
             rows.append(row)
+            _check_rank(len(rows), pos)
             kind, val, pos = self.next()
             if kind == "sym" and val == ",":
                 continue
@@ -301,8 +326,9 @@ def lattice_from_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        # unreadable, not UTF-8 (UnicodeDecodeError) or not JSON
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8 (UnicodeDecodeError), not JSON or nested
+        # past the decoder's depth
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("input file must hold a JSON object")
@@ -310,6 +336,11 @@ def lattice_from_file(path):
         gram = doc["gram"]
         if not (isinstance(gram, list)
                 and all(isinstance(row, list) for row in gram)):
+            raise ParseError("'gram' must be a list of integer lists")
+        _check_rank(len(gram))
+        # an entry that is a list or an object would reach Lattice's
+        # error message, and a deep one its repr
+        if any(isinstance(x, (list, dict)) for row in gram for x in row):
             raise ParseError("'gram' must be a list of integer lists")
         return Lattice(gram)
     if "length" in doc:

@@ -9,7 +9,7 @@ words.
 """
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (CrossCheckFailed, DimensionTooLarge, LengthMismatch,
                      ParseError, WrongLength)
@@ -107,7 +107,7 @@ class BinaryCode(namedtuple("BinaryCode", "length basis")):
                         for b in self.basis[i + 1:]))
 
     def word_string(self, w):
-        return "".join("1" if (w >> i) & 1 else "0" for i in range(self.length))
+        return format(w, "0%db" % self.length)[::-1]
 
     def basis_strings(self):
         return [self.word_string(b) for b in self.basis]
@@ -206,6 +206,7 @@ def words_of_weight(code, w):
     return found
 
 
+@lru_cache(maxsize=64)
 def rm14_subcode(code):
     """A witness subcode with weight distribution {0:1, 8:30, 16:1}, or None.
 
@@ -214,7 +215,9 @@ def rm14_subcode(code):
     Reed-Muller code (pairwise weight-8 intersections being 0, 4 or 8
     forces it), so the weight profile is the whole test.  Search: grow a
     basis of weight-8 words above the all-one word, depth-first, keeping
-    the profile at every step.
+    the profile at every step.  Kept per code (a BinaryCode is hashable):
+    the decompositions of one lattice often share their code, as all 135
+    of lb(rm14) do.
     """
     if code.length != 16:
         raise WrongLength("subcode detection requires length 16")

@@ -13,15 +13,18 @@ Frames stay integral from the sweep to the output: a Frame holds its
 vectors as integer rows over one scale q, e_i = rows[i] / q, together with
 the rows G rows[i], and a FrameDecomposition keeps (q, rows).  Fractions
 appear only in the ``vectors``/``frame`` views.  Frames come only from the
-sweep's records w + G w (lattice module docstring): the rows are the w
-over q = 2, and the greedy computes no G y.  The structural cosets are
+sweep's records w + G w (lattice module docstring): the rows y_i = 2 e_i
+are the w, over q = 2, and the greedy computes no G y.  Every frame coset
+is a nontrivial order-2 coset, so q = 2 is a precondition that
+extract_code checks, not a case it handles.  The structural cosets are
 looked up by the parity key of twice the vector
 (DiscriminantGroup.torsion2_index), not through the Smith form.
 
 The rebuild check.  Let R be the lattice that (code, signs, frame)
 generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
 It is checked that
-  (a) every generator lies in L (its row is divisible by 2q), so R is in L;
+  (a) every generator lies in L (its row is divisible by 2q = 4), so R is
+      in L;
   (b) the frame Gram matrix is exactly 2 I;
   (c) every pairing <e_i, b_j> with a basis vector of L is an integer.
 By (b) the e_i are an orthogonal basis of the ambient space, so
@@ -29,19 +32,42 @@ x = sum_i (<x, e_i> / 2) e_i for every x; 2 e_i lies in R (from 2 e_1 and
 the e_i + e_{i+1}), and with (c), 4 x = sum_i <x, e_i> (2 e_i) lies in R for
 x in L.  So 4L is in R is in L, and L/R is a 2-group.  A finite 2-group A
 with A = 2A is trivial, so R = L exactly when R + 2L = L, that is when the
-generators over 2q have rank n mod 2: one elimination over F_2 in place of
+generators over 4 have rank n mod 2: one elimination over F_2 in place of
 a Hermite normal form.
+
+Lanes.  Each frame row is handled as one int.  For (a) and the sign
+equations it is packed into lanes that hold y mod 8, lane k of
+sum_k (y_k mod 8) 2^(8 b k) for b bytes a lane.  The packing is additive
+while no lane overflows, and every generator is a sum of at most n packed
+rows with coefficients +-1, or twice a sum of two, or four times one: a
+lane then holds at most 8n + 16 (a -1 is taken as 8 minus the lane), which
+sets b.  A lane is congruent to its entry mod 8, and mod 8 decides all
+that (a) and the rank test read: the entry c is divisible by 4 iff the
+lane's two low bits are 0 (one mask test for the whole row), and then
+c / 4 mod 2 is the lane's bit 2, so the F_2 row of c / 4 is
+(row >> 2) & ONES, ONES holding a 1 in each lane.  For (b) the pairing
+rows G y_i are packed by columns, cols[j] = sum_i (G y_i)_j 2^(w i), so
+dot(y, cols) = sum_i <y, G y_i> 2^(w i): one product sum gives y's
+pairings with the whole frame.  With |<y, G y_i>| below 2^(w-1) the
+signed lanes of that sum are unique, so it equals 8 2^(w i) exactly when
+y = y_i has norm 8 (e_i norm 2) and is orthogonal to the rest.  The bound
+comes from the data, as the sweep sizes its lanes: n times the largest
+|entry| of the rows times that of the pairings (at least 8).  In the
+greedy of extract_frame every candidate is a norm-8 record, so by
+Cauchy-Schwarz its pairings with the chosen ones lie in [-8, 8] and lanes
+of 8 bits hold them.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
+from operator import neg, sub
 
 from . import intmat
 from .codes import _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
-from .lattice import (Lattice, cached_on_lattice, parity_key, require_even,
-                      signed_records)
+from .lattice import Lattice, cached_on_lattice, parity_key, require_even
 
 
 class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
@@ -81,30 +107,6 @@ class FrameDecomposition(namedtuple("FrameDecomposition",
         return _fraction_rows(self.scale, self.rows)
 
 
-def _generator_rows(yframe, code, signs=None):
-    """Generators of the Construction-B lattice over a frame, times 2q.
-
-    With the frame e_i = yframe[i] / q, returns integer rows whose quotients
-    by 2q generate the lattice: the halved signed codeword sums over the
-    code's basis, 2 e_1 and the e_i + e_{i+1} (which span every e_i +- e_j,
-    so the signs do not matter there).
-    """
-    n = len(yframe)
-    signs = (1,) * n if signs is None else signs
-    rows = []
-    for word in code.basis:
-        acc = [0] * len(yframe[0])
-        for i in range(n):
-            if (word >> i) & 1:
-                s = signs[i]
-                acc = [a + s * c for a, c in zip(acc, yframe[i])]
-        rows.append(acc)
-    rows.append([4 * c for c in yframe[0]])
-    for i in range(n - 1):
-        rows.append([2 * (a + b) for a, b in zip(yframe[i], yframe[i + 1])])
-    return rows
-
-
 def build_construction_b(code, signs=None):
     """Lattice of a doubly even code over the standard norm-2 frame.
 
@@ -115,8 +117,16 @@ def build_construction_b(code, signs=None):
     if not code.is_doubly_even:
         raise NotDoublyEven("Construction B needs a doubly even code")
     n = code.length
+    signs = (1,) * n if signs is None else signs
+    # the generators over the standard frame (module docstring), as rows
+    # over 2: the signed codeword sums, 4 e_1 and the 2 (e_i + e_{i+1})
+    gens = [[s if word >> i & 1 else 0 for i, s in enumerate(signs)]
+            for word in code.basis]
+    gens.append([4] + [0] * (n - 1))
+    gens += [[2 if j in (i, i + 1) else 0 for j in range(n)]
+             for i in range(n - 1)]
     # the basis rows over 2, in the ambient form 2*I: G = B B' / 2
-    basis = intmat.hnf(_generator_rows(intmat.identity(n), code, signs), n)
+    basis = intmat.hnf(gens, n)
     if len(basis) != n:
         raise Incomplete("construction generators did not span full rank")
     gram = [[intmat.dot(bi, bj) for bj in basis] for bi in basis]
@@ -143,8 +153,9 @@ def frame_cosets(lat):
     bound = 2 * lat.rank + lat.root_count
     kept = []
     counts = []
-    for coset in lat.discriminant.torsion2_reps:
-        c = 2 * len(sweep[coset.rep])
+    # the sweep lists the cosets in torsion2_reps order
+    for coset, recs in zip(lat.discriminant.torsion2_reps, sweep.values()):
+        c = 2 * len(recs)
         if c >= bound:
             if c > bound:
                 raise EqualityViolated(
@@ -164,14 +175,19 @@ def extract_frame(lat, coset):
     qualifying coset is a nontrivial order-2 one (the trivial coset holds
     the roots alone, fewer than the bound), so the Frame has scale 2, its
     rows are the w and its pairings the G w.  The membership precondition
-    is checked on the coset itself (its count against the bound).
+    is checked on the coset itself (its count against the bound).  A
+    candidate is tested against all chosen vectors at once, in 8-bit
+    lanes (module docstring).  Of each pair +-w only the lexicographically
+    smaller is a candidate: the larger comes later, when the smaller has
+    been chosen (and <w, -w> = -8) or refused by a chosen vector, which
+    then refuses its negative too.
     """
     require_even(lat)
     n = lat.rank
     sweep = lat.torsion2_norm2_records      # first, so root_count reads it
     bound = 2 * n + lat.root_count
-    recs = signed_records(sweep.get(coset.rep, ()))
-    count = len(recs)
+    recs = sweep.get(coset.rep, ())
+    count = 2 * len(recs)
     if not coset.order2 or count < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
                           % coset.label())
@@ -181,11 +197,15 @@ def extract_frame(lat, coset):
             % (coset.label(), count, bound))
     rows = []
     pairings = []
-    for r in recs:
+    cols = [0] * n      # the chosen pairings in 8-bit columns (docstring)
+    for r in sorted(min(r, tuple(map(neg, r))) for r in recs):
         y = r[:n]
-        if all(intmat.dot(y, gy) == 0 for gy in pairings):
+        if not intmat.dot(y, cols):
+            gy = r[n:]
+            shift = 8 * len(rows)
+            cols = [c + (g << shift) for c, g in zip(cols, gy)]
             rows.append(y)
-            pairings.append(r[n:])
+            pairings.append(gy)
             if len(rows) == n:
                 return Frame(scale=2, rows=tuple(rows),
                              pairings=tuple(pairings))
@@ -205,8 +225,8 @@ def _lexmin_f2_solution(equations, nvars):
     every free variable to 0 gives the smallest solution.
     """
     n = nvars
-    words = [rhs << n | sum(1 << (n - 1 - i)
-                            for i in range(n) if mask >> i & 1)
+    spec = "0%db" % n
+    words = [rhs << n | int(format(mask, spec)[::-1], 2)
              for mask, rhs in equations]
     assign = [0] * n
     for row in _rref(words):
@@ -217,52 +237,103 @@ def _lexmin_f2_solution(equations, nvars):
     return tuple(assign)
 
 
+def _mod8_lanes(rows):
+    """(ones, lanes): each integer row as one int whose lanes hold its
+    entries mod 8, and ones, the int with a 1 in every lane.  A lane has
+    the fewest bytes that hold 8n + 16 (module docstring)."""
+    n = len(rows[0])
+    nbytes = 1
+    while (8 * n + 16) >> (8 * nbytes):
+        nbytes += 1
+    size = n * nbytes
+    buf = bytearray(len(rows) * size)
+    buf[::nbytes] = bytes(map((7).__and__, chain.from_iterable(rows)))
+    lanes = [int.from_bytes(buf[i:i + size], "little")
+             for i in range(0, len(buf), size)]
+    return int.from_bytes(b"\1".ljust(nbytes, b"\0") * n, "little"), lanes
+
+
+def _pairing_columns(rows, pairings):
+    """(width, cols): cols[j] = sum_i pairings[i][j] 2^(width i), and every
+    |dot(row, pairings[i])| is below 2^(width - 1), as is 8 (module
+    docstring), so the lanes of dot(row, cols) are unique."""
+    bound = max(8, len(rows[0]) * max(map(abs, chain.from_iterable(rows)))
+                * max(map(abs, chain.from_iterable(pairings))))
+    width = bound.bit_length() + 1
+    cols = list(pairings[-1])
+    for p in pairings[-2::-1]:
+        cols = [(c << width) + g for c, g in zip(cols, p)]
+    return width, cols
+
+
+def _f2_rank(rows):
+    """Rank over F_2 of bit-packed rows: each kept row is reduced by the
+    kept rows and keyed by its lowest set bit."""
+    pivots = {}
+    for w in rows:
+        while w:
+            low = w & -w
+            if low not in pivots:
+                pivots[low] = w
+                break
+            w ^= pivots[low]
+    return len(pivots)
+
+
+def _support(word, n):
+    return [i for i in range(n) if word >> i & 1]
+
+
+# bytes 0 and 2 spelled as the binary digits 0 and 1
+_BITS = bytes.maketrans(b"\0\2", b"01")
+
+
 def extract_code(lat, frame, coset):
     """Recover the code and sign pattern of an extracted frame.
 
-    ``frame`` is a Frame inside ``coset`` (extract_frame).  The code is the
-    span of the mod-2 frame pairings of the generators of L extended by the
-    coset representative.  The sign pattern is the lexicographically first
-    one whose halved-codeword generators land in the lattice (a linear
-    condition over F_2); the rebuild is then checked exactly (see the
-    module docstring).
+    ``frame`` is a Frame of scale 2 inside ``coset`` (extract_frame): e_1
+    lies in the coset exactly when y_1 = 2 e_1 and twice the
+    representative agree mod 2.  The code is the span of the mod-2 frame
+    pairings of the basis of L; the representative adds nothing to it, as
+    it differs from e_1, whose pairings are even, by a vector of L.  The
+    sign pattern is the lexicographically first one whose
+    halved-codeword generators land in the lattice (a linear condition
+    over F_2); the rebuild is then checked exactly (see the module
+    docstring).
     """
     n = lat.rank
     q, yframe, gy = frame
+    if q != 2:
+        raise CosetNotInR("frame scale %d is not 2, the scale of every "
+                          "frame coset" % q)
     (rnum,), qr = intmat.scaled_integer_rows([coset.rep])
-    if q % qr:
-        # frame vectors have the denominators of the coset they lie in
+    if 2 % qr or any(map((1).__and__, map(
+            sub, yframe[0], [c * (2 // qr) for c in rnum]))):
         raise CosetNotInR("the frame does not lie in coset %s"
                           % coset.label())
-    yrep = [c * (q // qr) for c in rnum]
 
-    # pairing of e_i with the j-th basis vector is gy[i][j]/q, with the
-    # coset representative it is <yrep, gy[i]>/q^2; both are integers.
-    if any(c % q for row in gy for c in row):
+    # the pairing of e_i with the j-th basis vector is gy[i][j] / 2, an
+    # integer; bit i of code word j is its parity, bit 1 of gy[i][j].  With
+    # those bits as binary digits, row by row and then reversed, column j
+    # is digits[n - 1 - j::n], row n - 1 first: word j spelled out.
+    if any(map((1).__and__, chain.from_iterable(gy))):
         raise Incomplete("frame pairing was not integral")
-    words = [sum((gy[i][j] // q & 1) << i for i in range(n))
-             for j in range(n)]
-    word = 0
-    for i in range(n):
-        p, r = divmod(intmat.dot(yrep, gy[i]), q * q)
-        if r:
-            raise Incomplete("frame pairing was not integral")
-        word |= (p & 1) << i
-    words.append(word)
-    code = make_code(n, words)
+    digits = bytes(map((2).__and__, chain.from_iterable(gy))).translate(
+        _BITS)[::-1]
+    code = make_code(n, [int(digits[n - 1 - j::n], 2) for j in range(n)])
 
     # sign conditions: for each basis codeword c, the halved sum over c
     # of +/-frame vectors lies in L iff the flip count on c has a forced
-    # parity; determine that parity from the unsigned sum.
+    # parity; determine that parity from the unsigned sum (a flip changes
+    # it by 2 y_i, which is 2 y_1 mod 4)
+    ones, lanes = _mod8_lanes(yframe)
+    low2 = 3 * ones
     equations = []
     for cword in code.basis:
-        acc = [0] * n
-        for i in range(n):
-            if (cword >> i) & 1:
-                acc = [a + y for a, y in zip(acc, yframe[i])]
-        if all(a % (2 * q) == 0 for a in acc):
+        acc = sum(lanes[i] for i in _support(cword, n))
+        if not acc & low2:
             parity = 0
-        elif all((a - 2 * r) % (2 * q) == 0 for a, r in zip(acc, yrep)):
+        elif not (acc + 2 * lanes[0]) & low2:
             parity = 1
         else:
             raise NoSignPattern("no flip parity embeds codeword generator")
@@ -279,20 +350,24 @@ def extract_code(lat, frame, coset):
 def _check_rebuild(frame, code, signs):
     """Raise unless (code, signs, frame) generate L itself.
 
-    Checks (a) and (b) of the module docstring and the rank mod 2; (c), the
-    integral pairings, is checked by extract_code before it reads the code.
+    Checks (b) and (a) of the module docstring and the rank mod 2, each in
+    lanes; (c), the integral pairings, is checked by extract_code before
+    it reads the code.  The frame has scale 2.
     """
-    q, yframe, gy = frame
+    _, yframe, gy = frame
     n = len(yframe)
-    two_q2 = 2 * q * q
-    for i in range(n):
-        if intmat.dot(yframe[i], gy[i]) != two_q2 or any(
-                intmat.dot(yframe[j], gy[i]) for j in range(i)):
+    width, cols = _pairing_columns(yframe, gy)
+    for i, y in enumerate(yframe):
+        if intmat.dot(y, cols) != 8 << (width * i):
             raise Incomplete("frame vectors are not orthogonal of norm 2")
-    rows = _generator_rows(yframe, code, signs)
-    if any(c % (2 * q) for row in rows for c in row) or len(_rref(
-            [sum((c // (2 * q) & 1) << j for j, c in enumerate(row))
-             for row in rows])) != n:
+    ones, lanes = _mod8_lanes(yframe)
+    signed = [p if s > 0 else 8 * ones - p for p, s in zip(lanes, signs)]
+    gens = [sum(signed[i] for i in _support(word, n)) for word in code.basis]
+    gens.append(4 * lanes[0])
+    gens += [2 * (a + b) for a, b in zip(lanes, lanes[1:])]
+    low2 = 3 * ones
+    if any(g & low2 for g in gens) or _f2_rank(
+            g >> 2 & ones for g in gens) != n:
         raise NoSignPattern("rebuilt lattice differs from the original")
 
 
@@ -318,9 +393,7 @@ def structural_cosets(lat, dec):
     exactly when the code contains the all-one word.
     """
     q, yframe = dec.scale, dec.rows
-    plus = [0] * lat.rank
-    for s, y in zip(dec.signs, yframe):
-        plus = [a + s * c for a, c in zip(plus, y)]
+    plus = [intmat.dot(dec.signs, col) for col in zip(*yframe)]
     minus = [a - 4 * dec.signs[0] * c for a, c in zip(plus, yframe[0])]
     index = lat.discriminant.torsion2_index
 

@@ -39,7 +39,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from itertools import product
+from operator import add, neg
 
 from . import intmat, kernels
 from .errors import (DimensionTooLarge, NormNegative, NotDualVector, NotEven,
@@ -143,7 +143,8 @@ class Lattice:
     @cached_property
     def torsion2_norm2_records(self):
         """{rep: sorted records} of the norm-2 vectors of every order-<=2
-        coset, keyed by canonical representative; one enumeration of M.
+        coset, keyed by canonical representative in torsion2_reps order;
+        one enumeration of M.
         A record is w + G w for w = 2v, one of each pair +-v (see the
         module docstring).  Once computed, count_norm reads it for norm 2
         on these cosets."""
@@ -225,10 +226,19 @@ class DiscriminantGroup:
         """All cosets of order <= 2, the trivial one included, in canonical
         order; checked against the size limit first."""
         self.check_torsion2_size()
-        choices = [(0, d // 2) if d % 2 == 0 else (0,)
-                   for d in self.invariant_factors]
-        cosets = [self.coset_of_element(a) for a in product(*choices)]
-        return tuple(sorted(cosets, key=lambda c: c.rep))
+        # the elements are the sums of some of the (d_i / 2) e_i, d_i even;
+        # their representatives' numerators over the common denominator
+        # den > 0 are the same sums of columns of rows, and sort as the
+        # Fractions would
+        rows, den = self._reps
+        nums = [(0,) * len(rows)]
+        for i, d in enumerate(self.invariant_factors):
+            if d % 2 == 0:
+                col = [d // 2 * row[i] for row in rows]
+                nums += [tuple(map(add, num, col)) for num in nums]
+        nums.sort()
+        return tuple(Coset(rep=tuple(Fraction(x, den) for x in num),
+                           order2=True) for num in nums)
 
     @cached_property
     def torsion2_index(self):
@@ -363,7 +373,7 @@ def _torsion2_sweep(lat):
 
 def signed_records(recs):
     """Both signs of the one-of-each-pair records, sorted (by w first)."""
-    return sorted(recs + tuple(tuple(-c for c in r) for r in recs))
+    return sorted(recs + tuple(tuple(map(neg, r)) for r in recs))
 
 
 def _offsets(lat, coset, m):
@@ -451,15 +461,15 @@ def orthogonal_group_order(lat, bound=None):
     return count
 
 
-def direct_sum(lat_a, lat_b):
-    na, nb = lat_a.rank, lat_b.rank
-    gram = [[0] * (na + nb) for _ in range(na + nb)]
-    for i in range(na):
-        for j in range(na):
-            gram[i][j] = lat_a.gram[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            gram[na + i][na + j] = lat_b.gram[i][j]
+def direct_sum(*lats):
+    """The orthogonal sum of the lattices, one block each, as one Lattice."""
+    n = sum(lat.rank for lat in lats)
+    gram = []
+    before = 0
+    for lat in lats:
+        after = n - before - lat.rank
+        gram += [[0] * before + list(row) + [0] * after for row in lat.gram]
+        before += lat.rank
     return Lattice(gram)
 
 

@@ -11,9 +11,9 @@ determinant of a Gram matrix with 3000-digit entries), so the numbers
 that grow with the input go through int_str, and JSON through dumps.
 """
 
-import json
-import re
 from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 SCHEMA_VERSION = 1
@@ -33,22 +33,20 @@ def int_str(n):
 
 
 def frac_str(x):
-    return int_str(x.numerator) + "/" + int_str(x.denominator)
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def num_text(x):
     """An int or Fraction as str(Fraction) prints it: "p/q", or "p"."""
-    if x.denominator == 1:
-        return int_str(x.numerator)
-    return frac_str(x)
+    return _ratio_str(x.numerator, x.denominator).removesuffix("/1")
 
 
 def vec_json(vec):
-    return [frac_str(x) for x in vec]
+    return list(map(frac_str, vec))
 
 
 def vec_text(vec):
-    return "(" + ", ".join(num_text(x) for x in vec) + ")"
+    return "(" + ", ".join(map(num_text, vec)) + ")"
 
 
 @lru_cache(maxsize=1024)
@@ -61,7 +59,7 @@ def _ratio_str(num, den):
 
 def scaled_vec_json(scale, row):
     """vec_json of the vector row / scale (integer row, scale > 0)."""
-    return [_ratio_str(c, scale) for c in row]
+    return list(map(_ratio_str, row, repeat(scale)))
 
 
 def scaled_vec_text(scale, row):
@@ -71,30 +69,70 @@ def scaled_vec_text(scale, row):
 
 
 def dumps(doc):
-    """doc as JSON text, indented by 2 with sorted keys.
+    """doc as JSON text: json.dumps(doc, indent=2, sort_keys=True), byte
+    for byte, with every int written by int_str.
 
-    json.dumps fails on an int over the str() digit limit; then every int
-    goes in as a placeholder string, replaced by its int_str digits in the
-    text.
+    doc is built of dicts with str keys, lists, tuples, str, int, bool and
+    None.  json.dumps with an indent runs its pure-Python encoder and fails
+    on an int over the str() digit limit; this writes each list of scalars
+    (a frame row, a Gram row) with one join.
     """
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True)
-    except ValueError:
-        pass
-    digits = []
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
-    def swap(x):
-        if isinstance(x, dict):
-            return {k: swap(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [swap(v) for v in x]
-        if type(x) is int:
-            digits.append(int_str(x))
-            return "\0%d" % (len(digits) - 1)
-        return x
 
-    text = json.dumps(swap(doc), indent=2, sort_keys=True)
-    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m.group(1))], text)
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _scalar(x):
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int_str(x)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(x).__name__)
+
+
+def _write(x, nl, out):
+    """Append the JSON text of x to out; nl is the newline and indent
+    of x's own line."""
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        types = set(map(type, x))
+        if types <= _SCALARS:
+            encode = encode_basestring_ascii if types == {str} else _scalar
+            out.append("[" + inner + ("," + inner).join(map(encode, x))
+                       + nl + "]")
+        else:
+            sep = "[" + inner
+            for v in x:
+                out.append(sep)
+                _write(v, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    else:
+        out.append(_scalar(x))
 
 
 def coset_json(coset):

@@ -18,7 +18,7 @@ from itertools import product
 
 from voaplus import (Frame, Lattice, extract_code, extract_frame,
                      frame_cosets, make_code, vectors_of_norm)
-from voaplus.errors import NotPositiveDefinite
+from voaplus.errors import NotPositiveDefinite, RankDeficient
 from voaplus.intmat import (adjugate, dot, ldl, same_row_lattice,
                             scaled_integer_rows)
 from voaplus.lattice import signed_records
@@ -326,12 +326,16 @@ def rebuild_spans_lattice(dec):
     """True iff a FrameDecomposition's (code, signs, frame) generate L.
 
     The Hermite-normal-form route: the generators and the unit basis of L
-    must have the same HNF (same_lattice).
+    must have the same HNF (same_lattice).  Generators of lower rank, as a
+    frame with a repeated vector gives, generate something else.
     """
     n = len(dec.rows)
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return same_lattice(
-        construction_b_generators(dec.frame, dec.code, dec.signs), unit)
+    try:
+        return same_lattice(
+            construction_b_generators(dec.frame, dec.code, dec.signs), unit)
+    except RankDeficient:
+        return False
 
 
 def is_construction_b(lat):

@@ -11,7 +11,7 @@ import pytest
 
 from voaplus import BinaryCode, CATALOG, Lattice, parse_spec, serialize
 from voaplus.catalog import SIZE_LIMIT
-from voaplus.cli import main
+from voaplus.cli import load_spec, main
 from voaplus.errors import LengthMismatch, ParseError, UnknownName
 
 REPO = Path(__file__).resolve().parent.parent
@@ -305,6 +305,71 @@ def test_analyze_refuses_more_than_2_to_16_order2_cosets(capsys):
 def test_parse_spec_accepts_sizes_up_to_the_limit():
     assert parse_spec("zero(%d)" % SIZE_LIMIT).length == SIZE_LIMIT
     assert parse_spec("A%03d" % 3).rank == 3   # leading zeros are fine
+
+
+def test_rank_limit_pins_both_sides_of_a_direct_sum():
+    # a sum is built once its summands' ranks fit, so rank 129 is refused
+    # as fast as a size argument of 129
+    t0 = time.perf_counter()
+    assert parse_spec("A64+A64").rank == SIZE_LIMIT
+    assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="rank 129 exceeds the limit 128"):
+        parse_spec("A64+A65")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _gram_file(tmp_path, n):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[2 * (i == j) for j in range(n)]
+                                         for i in range(n)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", [
+    "+".join(["A1"] * 200),                 # took 13 s, then exit 3
+    "A128+A128+A128+A128",                  # took over 60 s
+    "gram([%s])" % ",".join(["[2]"] * 129),
+    "sqrt2*(A100+(A20+A9))",
+    "file"])
+def test_cli_refuses_lattices_above_the_rank_limit(tmp_path, capsys, spec):
+    if spec == "file":
+        spec = _gram_file(tmp_path, SIZE_LIMIT + 1)
+    t0 = time.perf_counter()
+    assert main(["analyze", spec]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the limit %d" % SIZE_LIMIT in err
+
+
+def test_gram_file_at_the_rank_limit_parses(tmp_path):
+    assert load_spec(_gram_file(tmp_path, SIZE_LIMIT)).rank == SIZE_LIMIT
+
+
+@pytest.mark.parametrize("spec", [
+    "(" * 400 + "A1" + ")" * 400,
+    "sqrt2*" * 1000 + "A1",
+    "lb(" * 400 + "rm14" + ")" * 400,
+    "file"])
+def test_cli_refuses_deep_nesting(tmp_path, capsys, spec):
+    # each printed a RecursionError traceback and exited 1
+    if spec == "file":
+        path = tmp_path / "deep.json"
+        path.write_text('{"gram": ' + "[" * 2000 + "]" * 2000 + "}")
+        spec = str(path)
+    assert main(["analyze", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+def test_nesting_up_to_the_depth_limit_parses():
+    from voaplus.catalog import DEPTH_LIMIT
+    assert parse_spec("(" * DEPTH_LIMIT + "A1" + ")" * DEPTH_LIMIT).rank == 1
+    assert parse_spec("2*" * DEPTH_LIMIT + "A1").gram == ((2 * 4 ** 100,),)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_spec("(" * (DEPTH_LIMIT + 1) + "A1" + ")" * (DEPTH_LIMIT + 1))
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,9 @@ from voaplus import (Lattice, build_construction_b, canonicalize_coset,
                      frame_cosets, hamming8, intmat, make_code, parse_spec,
                      repetition_code, rm14, structural_cosets,
                      words_of_weight, zero_code)
-from voaplus.constrb import _check_rebuild, _lexmin_f2_solution
+from voaplus.codes import word_from_support
+from voaplus.constrb import (_check_rebuild, _lexmin_f2_solution,
+                             _mod8_lanes, _pairing_columns)
 from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
                             NotDoublyEven, NotEven)
 
@@ -208,6 +210,145 @@ def test_sweep_records_in_skewed_bases(name, gram, plain, reached):
     for dec in decs:
         assert structural_cosets(lat, dec) == structural_cosets_oracle(lat,
                                                                        dec)
+
+
+def _signed_lanes(value, width, count):
+    """The count signed width-bit lanes of sum_i d_i 2^(width i)."""
+    out = []
+    for _ in range(count):
+        low = value & ((1 << width) - 1)
+        if low >> (width - 1):
+            low -= 1 << width
+        out.append(low)
+        value = (value - low) >> width
+    assert value == 0
+    return out
+
+
+# A1+A1 has roots and no frame coset
+SKEWED_FRAMES = [case for case in SKEWED if case[0] != "A1+A1"]
+
+
+@pytest.mark.parametrize("name,gram,plain,reached", SKEWED_FRAMES,
+                         ids=[case[0] for case in SKEWED_FRAMES])
+def test_pairing_lanes_in_skewed_bases(name, gram, plain, reached):
+    # a skewed basis gives frames with large entries, and the lanes of the
+    # rebuild check widen with them: every lane of dot(y, cols) reads back
+    # the plain pairing, and the decompositions rebuild L by the HNF route
+    # (checked on the first two: in the skewed rank-16 basis it takes
+    # about 0.05 s a decomposition)
+    lat = Lattice(gram)
+    n = lat.rank
+    widest = 0
+    decs = decompose(lat)
+    for dec in decs:
+        frame = extract_frame(lat, dec.coset)
+        width, cols = _pairing_columns(frame.rows, frame.pairings)
+        widest = max(widest, width)
+        for y in frame.rows:
+            assert (_signed_lanes(intmat.dot(y, cols), width, n)
+                    == [intmat.dot(y, p) for p in frame.pairings])
+    assert all(rebuild_spans_lattice(dec) for dec in decs[:2])
+    assert widest > reached.bit_length()
+
+
+@pytest.mark.parametrize("n", [1, 16, 29, 30, 40])
+def test_mod8_lanes_hold_every_generator_sum(n):
+    # the largest lane a generator or a sign equation makes, 8n + 16 (n
+    # lanes taken as 8 minus the lane, and more), reads back exactly; byte
+    # lanes hold it up to n = 29
+    rng = random.Random(n)
+    rows = [[rng.randrange(-2 ** 70, 2 ** 70) for _ in range(n)]
+            for _ in range(n)]
+    ones, lanes = _mod8_lanes(rows)
+    width = 8 if n < 30 else 16
+    assert ones == sum(1 << (width * k) for k in range(n))
+    for row, lane in zip(rows, lanes):
+        assert [lane >> (width * k) & 255 for k in range(n)] == [
+            c % 8 for c in row]
+    top = sum(8 * ones - lane for lane in lanes) + 16 * ones
+    assert ([top >> (width * k) & ((1 << width) - 1) for k in range(n)]
+            == [sum(8 - c % 8 for c in col) + 16 for col in zip(*rows)])
+
+
+def test_decompose_with_two_byte_lanes():
+    # at rank 32 a lane must hold 8 * 32 + 16 > 255: the lattice of the
+    # self-dual Reed-Muller code RM(2,5) decomposes into its own code, and
+    # a flipped sign is refused, as the HNF route says it must be
+    pts = range(32)
+    words = [word_from_support(pts)]
+    words += [word_from_support([p for p in pts if p >> i & 1])
+              for i in range(5)]
+    words += [word_from_support([p for p in pts if p >> i & p >> j & 1])
+              for i in range(5) for j in range(i + 1, 5)]
+    code = make_code(32, words)
+    lat = build_construction_b(code)[0]
+    (dec,) = decompose(lat)
+    assert dec.code == code and rebuild_spans_lattice(dec)
+    frame = extract_frame(lat, dec.coset)
+    flipped = (-dec.signs[0],) + dec.signs[1:]
+    assert not rebuild_spans_lattice(dec._replace(signs=flipped))
+    with pytest.raises(NoSignPattern):
+        _check_rebuild(frame, dec.code, flipped)
+
+
+CORRUPTIONS = ("none", "sign", "row", "code", "pairing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       corruption=st.sampled_from(CORRUPTIONS))
+def test_packed_checks_refuse_exactly_what_the_hnf_oracle_refuses(
+        seed, corruption):
+    # on a random Construction-B lattice (in a skewed basis half the time),
+    # corrupt one decomposition: flip a sign, take a frame row (with its
+    # pairing) from another frame coset, drop a code generator, or move a
+    # pairing by +-2.  _check_rebuild raises exactly when the HNF route
+    # says the corrupted data do not rebuild L (a pairing that is not G y
+    # never does); so does extract_code, which reads its own code and
+    # signs off the frame
+    rng = random.Random(seed)
+    n = rng.choice([4, 6, 8])
+    lat = build_construction_b(random_doubly_even_code(rng, n, n // 2))[0]
+    if rng.getrandbits(1):
+        lat = Lattice(random_unimodular_conjugate(rng, lat.gram))
+    decs = decompose(lat)
+    dec = rng.choice(decs)
+    frame = extract_frame(lat, dec.coset)
+    rows, pairings = list(frame.rows), list(frame.pairings)
+    code, signs = dec.code, dec.signs
+    i = rng.randrange(n)
+    if corruption == "sign":
+        signs = signs[:i] + (-signs[i],) + signs[i + 1:]
+    elif corruption == "row":
+        others = [d.coset for d in decs if d.coset != dec.coset]
+        other = extract_frame(lat, rng.choice(others)) if others else frame
+        j = rng.choice([j for j in range(n) if others or j != i])
+        rows[i], pairings[i] = other.rows[j], other.pairings[j]
+    elif corruption == "code" and code.dimension:
+        drop = rng.randrange(code.dimension)
+        code = make_code(n, code.basis[:drop] + code.basis[drop + 1:])
+    elif corruption == "pairing":
+        row = list(pairings[i])
+        row[rng.randrange(n)] += rng.choice((2, -2))
+        pairings[i] = tuple(row)
+    bad = frame._replace(rows=tuple(rows), pairings=tuple(pairings))
+    spans = (all(list(p) == lat.gram_times(y) for y, p in zip(rows, pairings))
+             and rebuild_spans_lattice(
+                 dec._replace(rows=bad.rows, code=code, signs=signs)))
+    try:
+        _check_rebuild(bad, code, signs)
+        refused = False
+    except (Incomplete, NoSignPattern):
+        refused = True
+    assert refused == (not spans)
+    if corruption in ("none", "row", "pairing"):
+        try:
+            got = extract_code(lat, bad, dec.coset)
+        except (CosetNotInR, Incomplete, NoSignPattern):
+            got = None
+        assert (got is None) == (not spans)
+        assert got is None or got == dec
 
 
 @settings(max_examples=16, deadline=None)

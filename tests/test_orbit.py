@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
 from voaplus import (Lattice, build_construction_b, condition_a, condition_b,
                      condition_c, fusion_space, module_orbit, parse_spec,
-                     repetition_code, rm14, twisted_character_count,
+                     repetition_code, rm14, rm14_subcode,
+                     twisted_character_count,
                      twisted_character_count_mod2, zero_code)
 from voaplus.errors import ConditionABC, NotEven
 
@@ -99,6 +100,15 @@ def test_condition_a_on_root_full_lattice():
     # the length-8 Hamming construction has roots but still satisfies (a)
     assert condition_a(parse_spec("lb(hamming8)")) is True
     assert condition_a(parse_spec("D8")) is True
+
+
+def test_condition_b_searches_each_code_once():
+    # the 135 decompositions of lb(rm14) share one code: one RM(1,4)
+    # search, 134 lookups
+    rm14_subcode.cache_clear()
+    assert condition_b(parse_spec("lb(rm14)")) is True
+    info = rm14_subcode.cache_info()
+    assert (info.misses, info.hits) == (1, 134)
 
 
 # Drops both markers from every structural coset, so the coset side of the

@@ -1,13 +1,15 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import det_bareiss, solve_integral
-from voaplus import (Lattice, analyze, build_construction_b, odd_split,
-                     parse_spec, repetition_code, stabilizer_order,
-                     vectors_of_norm)
+from voaplus import (CATALOG, Lattice, analyze, build_construction_b,
+                     odd_split, parse_spec, repetition_code, serialize,
+                     stabilizer_order, vectors_of_norm)
 from voaplus.errors import NotEven, NotOdd
 
 
@@ -146,3 +148,31 @@ def test_odd_split_checks_survive_optimize(flags):
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["SplitCheckFailed", "4", str(not flags)]
     assert "internal check failed" in done.stderr
+
+
+REPORTED = [e for e in CATALOG if e.kind != "code"]
+
+
+@pytest.mark.parametrize("entry", REPORTED, ids=[e.name for e in REPORTED])
+def test_writer_matches_json_dumps_on_catalog_reports(entry):
+    lat = entry.build()
+    doc = (serialize.odd_report_json(odd_split(lat)) if entry.kind == "odd"
+           else serialize.aut_report_json(analyze(lat)))
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# st.text() draws quotes, backslashes, control and non-ASCII characters
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@given(JSON_DOCS)
+@example({"q\"\\\x01\u00e9\U0001f600": ["\n\t", -1, True, None, (0, [], {})],
+          "": {"b": False, "a": [[-7], "x"]}})
+def test_writer_matches_json_dumps_on_generated_docs(doc):
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
