@@ -5,13 +5,16 @@ Runs ``decompose`` and then ``module_orbit`` -- the torsion-2 sweep, one
 frame, code and rebuild check per qualifying coset, the structural cosets
 of the orbit conditions -- on a freshly parsed lattice, and prints each
 case's best time over ``--repeat`` runs.  Then, in one more run, counts
-the work as deterministic numbers: calls of the enumeration kernel
-(``kernels.enumerate_offsets``), of ``Lattice.gram_times``, and the
-``Fraction`` objects created.  Two more runs count ``decompose`` alone, on
-a fresh lattice (the sweep included): its calls of ``intmat.dot``, and
-its function calls under cProfile, built-in ones included.  Exits with
-status 1 unless every case yields its known number of decompositions in
-one kernel call (the sweep).
+the work of a whole report as deterministic numbers: ``analyze`` and its
+JSON (``serialize.aut_report_json`` and ``serialize.dumps``) on a fresh
+lattice, with its calls of the enumeration kernel
+(``kernels.enumerate_offsets``), of ``Lattice.gram_times`` and of
+``intmat.dot``, and the ``Fraction`` objects it creates and hashes.  One
+more run counts the function calls of ``decompose`` alone under cProfile,
+built-in ones included, on a fresh lattice (the sweep included).  Exits
+with status 1 unless every case yields its known number of decompositions
+in one kernel call (the sweep) and its report creates and hashes no
+``Fraction``.
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 """
@@ -23,15 +26,17 @@ import sys
 import time
 from fractions import Fraction
 
-from voaplus import intmat, kernels, lattice, parse_spec
+from voaplus import intmat, kernels, lattice, parse_spec, serialize
 from voaplus.constrb import decompose
 from voaplus.orbit import module_orbit
+from voaplus.report import analyze
 
 # (spec, known number of decompositions: the qualifying cosets)
 CASES = [
     ("lb(rm14)", 135),
     ("lb(rep(8))", 135),
 ]
+COUNTS = ("kernel", "gram_times", "dot", "Fractions", "hashed")
 
 
 def run(lat):
@@ -45,8 +50,8 @@ def run(lat):
 
 
 def counted(lat):
-    """(kernel calls, gram_times calls, Fractions created) of one run."""
-    counts = {"kernel": 0, "gram_times": 0, "fractions": 0}
+    """{name: count} over COUNTS of the JSON report of a fresh lattice."""
+    counts = dict.fromkeys(COUNTS, 0)
 
     def counter(name, fn):
         def counting(*args, **kwargs):
@@ -54,43 +59,32 @@ def counted(lat):
             return fn(*args, **kwargs)
         return counting
 
-    enumerate_offsets = kernels.enumerate_offsets
-    gram_times = lattice.Lattice.gram_times
-    new = Fraction.__new__
-    kernels.enumerate_offsets = counter("kernel", enumerate_offsets)
-    lattice.Lattice.gram_times = counter("gram_times", gram_times)
-    Fraction.__new__ = staticmethod(counter("fractions", new))
+    patched = [(kernels, "enumerate_offsets", "kernel"),
+               (lattice.Lattice, "gram_times", "gram_times"),
+               (intmat, "dot", "dot"),
+               (Fraction, "__new__", "Fractions"),
+               (Fraction, "__hash__", "hashed")]
+    saved = [getattr(owner, name) for owner, name, _ in patched]
+    for (owner, name, key), fn in zip(patched, saved):
+        wrapped = counter(key, fn)
+        setattr(owner, name,
+                staticmethod(wrapped) if name == "__new__" else wrapped)
+    lattice._cached_offsets.cache_clear()
     try:
-        run(lat)
+        serialize.dumps(serialize.aut_report_json(analyze(lat)))
     finally:
-        kernels.enumerate_offsets = enumerate_offsets
-        lattice.Lattice.gram_times = gram_times
-        Fraction.__new__ = new
-    return counts["kernel"], counts["gram_times"], counts["fractions"]
+        for (owner, name, _), fn in zip(patched, saved):
+            setattr(owner, name, fn)
+    return counts
 
 
 def decompose_calls(spec):
-    """(intmat.dot calls, calls under cProfile) of decompose on a fresh
-    lattice, each from its own run."""
-    dots = [0]
-    dot = intmat.dot
-
-    def counting(u, v):
-        dots[0] += 1
-        return dot(u, v)
-
-    lattice._cached_offsets.cache_clear()
-    lat = parse_spec(spec)
-    intmat.dot = counting
-    try:
-        decompose(lat)
-    finally:
-        intmat.dot = dot
+    """Calls under cProfile of decompose on a fresh lattice."""
     lattice._cached_offsets.cache_clear()
     lat = parse_spec(spec)
     prof = cProfile.Profile()
     prof.runcall(decompose, lat)
-    return dots[0], pstats.Stats(prof).total_calls
+    return pstats.Stats(prof).total_calls
 
 
 def main():
@@ -98,27 +92,30 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    print("%-12s %10s %6s %8s %11s %10s %9s %9s" % (
-        "lattice", "best [s]", "decs", "kernel", "gram_times", "Fractions",
-        "dot", "calls"))
+    print("%-12s %10s %6s %8s %11s %7s %10s %7s %9s" % (
+        ("lattice", "best [s]", "decs") + COUNTS + ("calls",)))
     wrong = []
     for spec, known in CASES:
         best = float("inf")
         for _ in range(args.repeat):
             seconds, count = run(parse_spec(spec))
             best = min(best, seconds)
-        kernel, gram, fractions = counted(parse_spec(spec))
-        dots, calls = decompose_calls(spec)
-        print("%-12s %10.4f %6d %8d %11d %10d %9d %9d"
-              % (spec, best, count, kernel, gram, fractions, dots, calls),
+        counts = counted(parse_spec(spec))
+        calls = decompose_calls(spec)
+        print("%-12s %10.4f %6d %8d %11d %7d %10d %7d %9d"
+              % ((spec, best, count) + tuple(counts.values()) + (calls,)),
               flush=True)
         if count != known:
             wrong.append("%s: %d decompositions, expected %d"
                          % (spec, count, known))
-        if kernel > 1:
-            wrong.append("%s: %d kernel calls, expected 1" % (spec, kernel))
+        if counts["kernel"] > 1:
+            wrong.append("%s: %d kernel calls, expected 1"
+                         % (spec, counts["kernel"]))
+        if counts["Fractions"] or counts["hashed"]:
+            wrong.append("%s: %d Fractions created, %d hashed, expected 0"
+                         % (spec, counts["Fractions"], counts["hashed"]))
     if wrong:
-        sys.exit("wrong decomposition counts or kernel calls:\n"
+        sys.exit("wrong decomposition counts, kernel calls or Fractions:\n"
                  + "\n".join(wrong))
 
 

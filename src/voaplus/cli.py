@@ -112,7 +112,7 @@ def cmd_rl(args):
     def text():
         lines = ["bound 2n + |roots| = %d; %d qualifying cosets"
                  % (fc.bound, len(fc.cosets))]
-        lines += ["  %s  count %d" % (serialize.vec_text(c.rep), n)
+        lines += ["  %s  count %d" % (c.label(), n)
                   for c, n in zip(fc.cosets, fc.counts)]
         return "\n".join(lines)
 
@@ -130,10 +130,9 @@ def cmd_decompose(args):
             return "not a Construction-B lattice (no qualifying coset)"
         lines = []
         for d in decs:
-            lines.append("coset %s" % serialize.vec_text(d.coset.rep))
+            lines.append("coset %s" % d.coset.label())
             for row in d.rows:
-                lines.append("  frame %s"
-                             % serialize.scaled_vec_text(d.scale, row))
+                lines.append("  frame %s" % serialize.scaled_vec_text(2, row))
             lines.append("  code [%d,%d] generators %s"
                          % (d.code.length, d.code.dimension,
                             " ".join(d.code.basis_strings()) or "-"))

@@ -137,31 +137,32 @@ def make_code(n, generators):
     """Canonical BinaryCode of length n spanned by the generators.
 
     Generators may be bit-packed ints, 0/1 strings, or 0/1 lists or
-    tuples; anything else (a float, None, a bool) raises ParseError.
+    tuples; anything else (a float, None, a bool) raises ParseError.  An
+    error names the generator by its index, type and length, never by its
+    value, which may be arbitrarily long or deep.
     """
     if n <= 0:
         raise LengthMismatch("code length must be positive")
     words = []
-    for g in generators:
+    for k, g in enumerate(generators):
+        kind = type(g).__name__
         if isinstance(g, bool) or not isinstance(g, (int, str, list, tuple)):
-            raise ParseError("generator %r is not a bit-packed int, a 0/1 "
-                             "string or a 0/1 list" % (g,))
+            raise ParseError("generator %d is a %s, not a bit-packed int, a "
+                             "0/1 string or a 0/1 list" % (k, kind))
         if isinstance(g, int):
             w = g
-        elif isinstance(g, str):
-            if len(g) != n:
-                raise LengthMismatch("generator %r has length %d, expected %d"
-                                     % (g, len(g), n))
+        elif len(g) != n:
+            raise LengthMismatch("generator %d (a %s) has length %d, "
+                                 "expected %d" % (k, kind, len(g), n))
+        elif isinstance(g, str) and set(g) <= {"0", "1"}:
             w = word_from_string(g)
-        else:
-            if len(g) != n:
-                raise LengthMismatch("generator has length %d, expected %d"
-                                     % (len(g), n))
-            if any(isinstance(b, bool) or not isinstance(b, int)
-                   or b not in (0, 1) for b in g):
-                raise LengthMismatch("codeword lists must be over {0,1}: %r"
-                                     % (g,))
+        elif not isinstance(g, str) and all(
+                isinstance(b, int) and not isinstance(b, bool)
+                and b in (0, 1) for b in g):
             w = word_from_support(i for i, b in enumerate(g) if b)
+        else:
+            raise LengthMismatch("generator %d (a %s of length %d) must be "
+                                 "over {0,1}" % (k, kind, len(g)))
         if w >> n:
             raise LengthMismatch("generator uses coordinates beyond length %d" % n)
         words.append(w)

@@ -9,22 +9,22 @@ exactly when some coset reaches the bound.  The count can never exceed the
 bound; we assert that on every coset we touch, which turns a theoretical
 equality into a free runtime oracle.
 
-Frames stay integral from the sweep to the output: a Frame holds its
-vectors as integer rows over one scale q, e_i = rows[i] / q, together with
-the rows G rows[i], and a FrameDecomposition keeps (q, rows).  Fractions
-appear only in the ``vectors``/``frame`` views.  Frames come only from the
-sweep's records w + G w (lattice module docstring): the rows y_i = 2 e_i
-are the w, over q = 2, and the greedy computes no G y.  Every frame coset
-is a nontrivial order-2 coset, so q = 2 is a precondition that
-extract_code checks, not a case it handles.  The structural cosets are
-looked up by the parity key of twice the vector
+Frames stay integral from the sweep to the output.  Every frame coset is
+a nontrivial order-2 coset, so a frame vector e_i is half of an integer
+row y_i = 2 e_i over L's basis: a Frame holds the rows y_i together with
+the rows G y_i, and a FrameDecomposition keeps the y_i.  Fractions appear
+only in the ``vectors``/``frame`` views.  Frames come only from the
+sweep's records w + G w (lattice module docstring): the rows y_i are the
+w, and the greedy computes no G y.  Cosets are integral too (lattice.Coset,
+numerators over one denominator); the frame's coset and the structural
+cosets are looked up by the parity key of twice the vector
 (DiscriminantGroup.torsion2_index), not through the Smith form.
 
 The rebuild check.  Let R be the lattice that (code, signs, frame)
 generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
 It is checked that
-  (a) every generator lies in L (its row is divisible by 2q = 4), so R is
-      in L;
+  (a) every generator, a sum of rows y_i over 4, lies in L (the sum is
+      divisible by 4), so R is in L;
   (b) the frame Gram matrix is exactly 2 I;
   (c) every pairing <e_i, b_j> with a basis vector of L is an integer.
 By (b) the e_i are an orthogonal basis of the ambient space, so
@@ -61,7 +61,7 @@ of 8 bits hold them.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from operator import neg, sub
+from operator import neg
 
 from . import intmat
 from .codes import _rref, make_code
@@ -75,27 +75,27 @@ class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
     __slots__ = ()
 
 
-def _fraction_rows(scale, rows):
-    return tuple(tuple(Fraction(c, scale) for c in row) for row in rows)
+def _halved_rows(rows):
+    return tuple(tuple(Fraction(c, 2) for c in row) for row in rows)
 
 
-class Frame(namedtuple("Frame", "scale rows pairings")):
-    """An orthogonal norm-2 frame e_i = rows[i] / scale in integer rows over
+class Frame(namedtuple("Frame", "rows pairings")):
+    """An orthogonal norm-2 frame e_i = rows[i] / 2 in integer rows over
     L's basis, and pairings[i] = G rows[i], so <e_i, b_j> is
-    pairings[i][j] / scale."""
+    pairings[i][j] / 2."""
     __slots__ = ()
 
     @property
     def vectors(self):
         """The frame vectors as tuples of Fractions."""
-        return _fraction_rows(self.scale, self.rows)
+        return _halved_rows(self.rows)
 
 
 class FrameDecomposition(namedtuple("FrameDecomposition",
-                                      "coset scale rows code signs")):
+                                      "coset rows code signs")):
     """A Construction-B witness: coset, orthogonal frame, code, signs.
 
-    The frame vectors are rows[i] / scale (integer rows over L's basis).
+    The frame vectors are rows[i] / 2 (integer rows over L's basis).
     Rebuilding the lattice from (code, signs * frame) reproduced the
     original exactly; extract_code enforces that before returning.
     """
@@ -104,7 +104,7 @@ class FrameDecomposition(namedtuple("FrameDecomposition",
     @property
     def frame(self):
         """The frame vectors as tuples of Fractions."""
-        return _fraction_rows(self.scale, self.rows)
+        return _halved_rows(self.rows)
 
 
 def build_construction_b(code, signs=None):
@@ -173,20 +173,20 @@ def extract_frame(lat, coset):
     ones already chosen; guaranteed to reach full rank for cosets meeting
     the bound.  The candidates are the sweep's records w + G w, w = 2v: a
     qualifying coset is a nontrivial order-2 one (the trivial coset holds
-    the roots alone, fewer than the bound), so the Frame has scale 2, its
-    rows are the w and its pairings the G w.  The membership precondition
-    is checked on the coset itself (its count against the bound).  A
-    candidate is tested against all chosen vectors at once, in 8-bit
-    lanes (module docstring).  Of each pair +-w only the lexicographically
-    smaller is a candidate: the larger comes later, when the smaller has
-    been chosen (and <w, -w> = -8) or refused by a chosen vector, which
-    then refuses its negative too.
+    the roots alone, fewer than the bound), so the Frame's rows are the w
+    and its pairings the G w.  The membership precondition is checked on
+    the coset itself (its count against the bound).  A candidate is
+    tested against all chosen vectors at once, in 8-bit lanes (module
+    docstring).  Of each pair +-w only the lexicographically smaller is a
+    candidate: the larger comes later, when the smaller has been chosen
+    (and <w, -w> = -8) or refused by a chosen vector, which then refuses
+    its negative too.
     """
     require_even(lat)
     n = lat.rank
     sweep = lat.torsion2_norm2_records      # first, so root_count reads it
     bound = 2 * n + lat.root_count
-    recs = sweep.get(coset.rep, ())
+    recs = sweep.get(coset, ())
     count = 2 * len(recs)
     if not coset.order2 or count < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
@@ -207,8 +207,7 @@ def extract_frame(lat, coset):
             rows.append(y)
             pairings.append(gy)
             if len(rows) == n:
-                return Frame(scale=2, rows=tuple(rows),
-                             pairings=tuple(pairings))
+                return Frame(rows=tuple(rows), pairings=tuple(pairings))
     raise Incomplete("frame extraction stalled at %d of %d vectors"
                      % (len(rows), lat.rank))
 
@@ -291,9 +290,9 @@ _BITS = bytes.maketrans(b"\0\2", b"01")
 def extract_code(lat, frame, coset):
     """Recover the code and sign pattern of an extracted frame.
 
-    ``frame`` is a Frame of scale 2 inside ``coset`` (extract_frame): e_1
-    lies in the coset exactly when y_1 = 2 e_1 and twice the
-    representative agree mod 2.  The code is the span of the mod-2 frame
+    ``frame`` is a Frame inside ``coset`` (extract_frame): e_1 lies in the
+    coset exactly when the parity key of y_1 = 2 e_1 names it in
+    DiscriminantGroup.torsion2_index.  The code is the span of the mod-2 frame
     pairings of the basis of L; the representative adds nothing to it, as
     it differs from e_1, whose pairings are even, by a vector of L.  The
     sign pattern is the lexicographically first one whose
@@ -302,13 +301,8 @@ def extract_code(lat, frame, coset):
     docstring).
     """
     n = lat.rank
-    q, yframe, gy = frame
-    if q != 2:
-        raise CosetNotInR("frame scale %d is not 2, the scale of every "
-                          "frame coset" % q)
-    (rnum,), qr = intmat.scaled_integer_rows([coset.rep])
-    if 2 % qr or any(map((1).__and__, map(
-            sub, yframe[0], [c * (2 // qr) for c in rnum]))):
+    yframe, gy = frame
+    if lat.discriminant.torsion2_index.get(parity_key(yframe[0])) != coset:
         raise CosetNotInR("the frame does not lie in coset %s"
                           % coset.label())
 
@@ -343,7 +337,7 @@ def extract_code(lat, frame, coset):
         raise NoSignPattern("sign parity system is inconsistent")
     signs = tuple(-1 if f else 1 for f in flips)
     _check_rebuild(frame, code, signs)
-    return FrameDecomposition(coset=coset, scale=q, rows=yframe, code=code,
+    return FrameDecomposition(coset=coset, rows=yframe, code=code,
                               signs=signs)
 
 
@@ -352,9 +346,9 @@ def _check_rebuild(frame, code, signs):
 
     Checks (b) and (a) of the module docstring and the rank mod 2, each in
     lanes; (c), the integral pairings, is checked by extract_code before
-    it reads the code.  The frame has scale 2.
+    it reads the code.
     """
-    _, yframe, gy = frame
+    yframe, gy = frame
     n = len(yframe)
     width, cols = _pairing_columns(yframe, gy)
     for i, y in enumerate(yframe):
@@ -392,20 +386,19 @@ def structural_cosets(lat, dec):
     coset only when it lies in the dual and has order <= 2, which happens
     exactly when the code contains the all-one word.
     """
-    q, yframe = dec.scale, dec.rows
+    yframe = dec.rows
     plus = [intmat.dot(dec.signs, col) for col in zip(*yframe)]
     minus = [a - 4 * dec.signs[0] * c for a, c in zip(plus, yframe[0])]
     index = lat.discriminant.torsion2_index
 
     def classify(num):
-        # the vector is num / 4q: twice it, w = num / 2q, lies in L iff
-        # 2q | num, and the vector lies in the dual iff 4q | G num; its
-        # coset then has order <= 2 and is named by w mod 2
-        if any(c % (2 * q) for c in num):
+        # the vector is num / 8 (the rows are 2 e_i): twice it, w = num / 4,
+        # lies in L iff 4 | num, and then the vector lies in the dual iff
+        # G w = 0 mod 2, that is iff w mod 2 is a key of the index (its keys
+        # are all of ker(G mod 2)), whose value is then the vector's coset
+        if any(c % 4 for c in num):
             return None
-        if any(c % (4 * q) for c in lat.gram_times(num)):
-            return None
-        return index[parity_key([c // (2 * q) for c in num])]
+        return index.get(parity_key([c // 4 for c in num]))
 
     return StructuralCosets(twist_plus=classify(plus),
                             twist_minus=classify(minus))

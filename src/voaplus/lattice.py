@@ -5,7 +5,8 @@ over the lattice basis.  Lattice vectors have integer coordinates, dual
 vectors rational ones (x lies in the dual iff G x is integral).  Cosets of
 the lattice inside its dual carry a canonical representative derived from
 the Smith form of the Gram matrix, so equality of cosets is equality of
-representatives.
+representatives.  A Coset holds its representative as integer numerators
+over one denominator; the Fractions of its ``rep`` are made on demand only.
 
 The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
 dual vector v has 2v in L exactly when w = 2v lies in
@@ -45,21 +46,31 @@ from . import intmat, kernels
 from .errors import (DimensionTooLarge, NormNegative, NotDualVector, NotEven,
                      NotIntegral, NotPositiveDefinite, NotSymmetric,
                      RankBoundExceeded)
-from .serialize import vec_text
+from .serialize import scaled_vec_text
 
 DEFAULT_RANK_BOUND = 4
 # at most 2^16 order-<=2 cosets: every lattice of rank <= 16 (a cold
 # analyze of lb(zero(16)) takes about 9 s on a 2-core machine)
 TORSION2_LIMIT = 16
+# at most 10^TREE_LOG10_LIMIT nodes above the leaves of one enumeration
+# tree, by the Gaussian heuristic (_check_tree_size): over 100 times the
+# largest estimate of the tests, selftest and the benchmark's workloads
+# (10^4.7, D16 at norm 4)
+TREE_LOG10_LIMIT = 7
 
 
-class Coset(namedtuple("Coset", "rep order2")):
-    """An element of dual/lattice: its canonical representative rep (a
-    tuple of Fractions) and order2, whether twice it lies in the lattice."""
+class Coset(namedtuple("Coset", "den nums order2")):
+    """An element of dual/lattice: its canonical representative nums / den
+    in lowest terms (den > 0), and order2, whether twice it lies in L."""
     __slots__ = ()
 
+    @property
+    def rep(self):
+        """The representative as a tuple of Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def label(self):
-        return vec_text(self.rep)
+        return scaled_vec_text(self.den, self.nums)
 
 
 class Lattice:
@@ -81,7 +92,7 @@ class Lattice:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise NotSymmetric("gram[%d][%d] != gram[%d][%d]" % (i, j, j, i))
-        self._det = intmat.ldl(rows)[0][n]
+        self._minors = intmat.ldl(rows)[0]
         self._gram = tuple(tuple(r) for r in rows)
         self._rank = n
 
@@ -104,7 +115,7 @@ class Lattice:
 
     @property
     def det(self):
-        return self._det
+        return self._minors[-1]
 
     @cached_property
     def is_even(self):
@@ -142,9 +153,8 @@ class Lattice:
 
     @cached_property
     def torsion2_norm2_records(self):
-        """{rep: sorted records} of the norm-2 vectors of every order-<=2
-        coset, keyed by canonical representative in torsion2_reps order;
-        one enumeration of M.
+        """{coset: sorted records} of the norm-2 vectors of every order-<=2
+        coset, in torsion2_reps order; one enumeration of M.
         A record is w + G w for w = 2v, one of each pair +-v (see the
         module docstring).  Once computed, count_norm reads it for norm 2
         on these cosets."""
@@ -191,15 +201,17 @@ class DiscriminantGroup:
         return tuple(intmat.dot(row, gv) % d
                      for row, d in zip(self._u, self.invariant_factors))
 
-    def rep_of_element(self, a):
-        rows, den = self._reps
-        return tuple(Fraction(intmat.dot(row, a), den) for row in rows)
-
     def coset_of_element(self, a):
         d = self.invariant_factors
         a = tuple(ai % di for ai, di in zip(a, d))
         order2 = all((2 * ai) % di == 0 for ai, di in zip(a, d))
-        return Coset(rep=self.rep_of_element(a), order2=order2)
+        return self._coset([intmat.dot(row, a) for row in self._reps[0]],
+                           order2)
+
+    def _coset(self, nums, order2):
+        """The Coset of the representative nums / |det G|, reduced."""
+        g = math.gcd(self._reps[1], *nums)
+        return Coset(self._reps[1] // g, tuple(x // g for x in nums), order2)
 
     def coset_of(self, vec):
         return self.coset_of_element(self.element_of(vec))
@@ -228,28 +240,26 @@ class DiscriminantGroup:
         self.check_torsion2_size()
         # the elements are the sums of some of the (d_i / 2) e_i, d_i even;
         # their representatives' numerators over the common denominator
-        # den > 0 are the same sums of columns of rows, and sort as the
-        # Fractions would
-        rows, den = self._reps
+        # |det G| are the same sums of columns of rows, and sort as the
+        # representatives do
+        rows = self._reps[0]
         nums = [(0,) * len(rows)]
         for i, d in enumerate(self.invariant_factors):
             if d % 2 == 0:
                 col = [d // 2 * row[i] for row in rows]
                 nums += [tuple(map(add, num, col)) for num in nums]
         nums.sort()
-        return tuple(Coset(rep=tuple(Fraction(x, den) for x in num),
-                           order2=True) for num in nums)
+        return tuple(self._coset(num, True) for num in nums)
 
     @cached_property
     def torsion2_index(self):
         """{parity key of 2 rep: coset} over torsion2_reps.
 
         The order-<=2 coset of a dual vector v with 2v in L is the value at
-        the parity key of 2v (module docstring): no Smith-form product and
-        no Fraction on the way.
+        the parity key of 2v (module docstring); the keys are all of
+        ker(G mod 2) = M mod 2.  The den of these cosets divides 2.
         """
-        return {parity_key([x.numerator * 2 // x.denominator
-                            for x in c.rep]): c
+        return {parity_key([2 // c.den * x for x in c.nums]): c
                 for c in self.torsion2_reps}
 
 
@@ -291,15 +301,15 @@ def _torsion2_basis(lat):
     """HNF basis of M = {x : G x = 0 mod 2}, rows over L's basis.
 
     M = 2T for T = {v in L* : 2v in L}, and T is spanned by L and the
-    representatives of the classes (d_i/2) e_i, d_i even.
+    representatives of the classes (d_i/2) e_i, d_i even: twice such a
+    representative is column i of DiscriminantGroup._reps times d_i / den.
     """
     n = lat.rank
     disc = lat.discriminant
+    rows, den = disc._reps
     gens = [[2 * (j == i) for j in range(n)] for i in range(n)]
-    for i, d in enumerate(disc.invariant_factors):
-        if d % 2 == 0:
-            a = [d // 2 * (j == i) for j in range(n)]
-            gens.append([int(2 * x) for x in disc.rep_of_element(a)])
+    gens += [[d * row[i] // den for row in rows]
+             for i, d in enumerate(disc.invariant_factors) if d % 2 == 0]
     return intmat.hnf(gens, n)
 
 
@@ -367,13 +377,39 @@ def _torsion2_sweep(lat):
                     key ^= k
         rec = unpack(((acc + bias) ^ bias).to_bytes(size, order))
         buckets.setdefault(key, []).append(rec)
-    return {c.rep: tuple(sorted(buckets.get(key, ())))
-            for key, c in index.items()}
+    return {c: tuple(sorted(buckets.get(key, ()))) for key, c in index.items()}
 
 
 def signed_records(recs):
     """Both signs of the one-of-each-pair records, sorted (by w first)."""
     return sorted(recs + tuple(tuple(map(neg, r)) for r in recs))
+
+
+def _check_tree_size(lat, m):
+    """Raise DimensionTooLarge when the enumeration of norm m would visit
+    more than 10^TREE_LOG10_LIMIT nodes above its leaves.
+
+    By the Gaussian heuristic, the level with x_{n-j} .. x_{n-1} fixed
+    holds about V_j m^(j/2) sqrt(d[n-j] / d[n]) nodes: the points of L
+    projected away from its first n - j basis vectors, a lattice of
+    dimension j and covolume sqrt(d[n] / d[n-j]) (d the leading minors,
+    as in kernels), in the ball of radius sqrt(m) and volume V_j m^(j/2).
+    The levels j = 1 .. n-1 are summed; the leaves (j = n) are read off
+    the ends of a range.  The sum is formed in logarithms, so that any
+    norm gives a finite estimate.
+    """
+    d, n = lat._minors, lat.rank
+    if n == 1 or m == 0:
+        return
+    log_m = math.log(m.numerator) - math.log(m.denominator)
+    logs = [j / 2 * (math.log(math.pi) + log_m) - math.lgamma(j / 2 + 1)
+            + (math.log(d[n - j]) - math.log(d[n])) / 2 for j in range(1, n)]
+    top = max(logs)
+    log_total = top + math.log(sum(math.exp(t - top) for t in logs))
+    if log_total > TREE_LOG10_LIMIT * math.log(10):
+        raise DimensionTooLarge(
+            "refusing an enumeration of about 10^%.1f tree nodes (limit "
+            "10^%d)" % (log_total / math.log(10), TREE_LOG10_LIMIT))
 
 
 def _offsets(lat, coset, m):
@@ -383,6 +419,7 @@ def _offsets(lat, coset, m):
     m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
+    _check_tree_size(lat, m)
     return rep, _cached_offsets(lat, rep, m)
 
 
@@ -409,7 +446,7 @@ def count_norm(lat, coset, m):
     """
     sweep = lat.__dict__.get("torsion2_norm2_records")
     if m == 2 and sweep is not None:
-        recs = sweep.get(coset.rep if coset is not None else (0,) * lat.rank)
+        recs = sweep.get(lat.trivial_coset if coset is None else coset)
         if recs is not None:
             return 2 * len(recs)
     return len(_offsets(lat, coset, m)[1])

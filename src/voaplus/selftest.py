@@ -119,10 +119,10 @@ def run_selftest(bound=None):
         sweep = lat.torsion2_norm2_records
         bad = []
         for c in lat.discriminant.torsion2_reps:
-            r2 = [x.numerator * 2 // x.denominator for x in c.rep]
-            own = [tuple(2 * x + r for x, r in zip(off, r2)) for off in
-                   kernels.enumerate_offsets(lat.gram, c.rep, Fraction(2))]
-            if [r[:n] for r in signed_records(sweep[c.rep])] != own:
+            k = 2 // c.den      # w = 2 x + k nums, as den divides 2
+            own = [tuple(2 * x + k * r for x, r in zip(off, c.nums)) for off
+                   in kernels.enumerate_offsets(lat.gram, c.rep, Fraction(2))]
+            if [r[:n] for r in signed_records(sweep[c])] != own:
                 bad.append(c.label())
         out(name + ".torsion2_routes_agree", not bad,
             "sweep and per-coset enumeration differ on %s" % ", ".join(bad))

@@ -136,7 +136,7 @@ def _write(x, nl, out):
 
 
 def coset_json(coset):
-    return vec_json(coset.rep)
+    return scaled_vec_json(coset.den, coset.nums)
 
 
 def code_json(code):
@@ -154,7 +154,7 @@ def frame_cosets_json(fc):
 def decomposition_json(dec):
     return {
         "coset": coset_json(dec.coset),
-        "frame": [scaled_vec_json(dec.scale, row) for row in dec.rows],
+        "frame": [scaled_vec_json(2, row) for row in dec.rows],
         "code": code_json(dec.code),
         "signs": list(dec.signs),
     }
@@ -241,11 +241,11 @@ def aut_report_text(rep):
     fc = rep.frame_coset_set
     w("frame cosets (norm-2 count == %d): %d" % (fc.bound, len(fc.cosets)))
     for c, n in zip(fc.cosets, fc.counts):
-        w("  %s  count %d" % (vec_text(c.rep), n))
+        w("  %s  count %d" % (c.label(), n))
     w("construction decompositions: %d" % len(rep.decompositions))
     for d in rep.decompositions:
         w("  coset %s -> code [%d,%d], signs %s"
-          % (vec_text(d.coset.rep), d.code.length, d.code.dimension,
+          % (d.coset.label(), d.code.length, d.code.dimension,
              "".join("+" if s > 0 else "-" for s in d.signs)))
     w("conditions: len8-all-one=%s  len16-rm14=%s  e8=%s"
       % (rep.cond_a, rep.cond_b, rep.cond_c))
@@ -279,7 +279,7 @@ def odd_report_text(rep):
     w("odd representative %s, norm %s" % (vec_text(rep.odd_rep),
                                           num_text(rep.odd_rep_norm)))
     w("its class over the even part: %s (in orbit: %s)"
-      % (vec_text(rep.odd_coset.rep), rep.odd_coset_in_orbit))
+      % (rep.odd_coset.label(), rep.odd_coset_in_orbit))
     if rep.aut_order is not None:
         w("aut order = %s" % int_str(rep.aut_order))
     else:

@@ -7,8 +7,10 @@ docstrings, are the leaf-counting isometry search, which takes its
 candidate vectors from the package, is_construction_b, which runs the
 package's decomposition, structural_cosets_oracle, which classifies
 through the package's Smith-form route (not the parity-key index it
-checks), and single_coset_frame and sweep_offsets, which read one
-coset's own tree and the sweep's records.
+checks), structural_cosets_gram_route, which tests dual membership with
+the Gram matrix before it reads the index, rep_of_element, which reads
+the Smith form's adjugate rows, and single_coset_frame and sweep_offsets,
+which read one coset's own tree and the sweep's records.
 """
 
 import math
@@ -16,12 +18,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from voaplus import (Frame, Lattice, extract_code, extract_frame,
-                     frame_cosets, make_code, vectors_of_norm)
+from voaplus import (Frame, Lattice, StructuralCosets, extract_code,
+                     extract_frame, frame_cosets, make_code, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite, RankDeficient
-from voaplus.intmat import (adjugate, dot, ldl, same_row_lattice,
-                            scaled_integer_rows)
-from voaplus.lattice import signed_records
+from voaplus.intmat import adjugate, dot, ldl, same_row_lattice
+from voaplus.lattice import parity_key, signed_records
 
 
 def naive_vectors_of_norm(gram, rep, m, box=8):
@@ -347,37 +348,67 @@ def is_construction_b(lat):
     return True
 
 
+def structural_cosets_gram_route(lat, dec):
+    """StructuralCosets of a FrameDecomposition, testing dual membership
+    with the Gram matrix.
+
+    plus = (sum_i s_i e_i)/4 and minus = plus - s_1 e_1 are num / 8 for
+    integer rows num (the rows of dec are 2 e_i).  Such a vector is
+    classified when 4 divides num (twice it lies in L) and 8 divides G num
+    (it lies in the dual), by the parity key of num / 4; else None.
+    """
+    n = lat.rank
+    plus = [sum(s * y[j] for s, y in zip(dec.signs, dec.rows))
+            for j in range(n)]
+    minus = [p - 4 * dec.signs[0] * c for p, c in zip(plus, dec.rows[0])]
+    index = lat.discriminant.torsion2_index
+
+    def classify(num):
+        if any(c % 4 for c in num) or any(c % 8 for c in lat.gram_times(num)):
+            return None
+        return index[parity_key([c // 4 for c in num])]
+
+    return StructuralCosets(twist_plus=classify(plus),
+                            twist_minus=classify(minus))
+
+
+def rep_of_element(disc, a):
+    """The canonical representative of the group element a (each a_i in
+    [0, d_i)) as Fractions: the adjugate rows of (UG) times a, over their
+    denominator."""
+    rows, den = disc._reps
+    return tuple(Fraction(dot(row, a), den) for row in rows)
+
+
 def single_coset_frame(lat, coset):
     """extract_frame's greedy frame, from the coset's own tree.
 
     The candidates are vectors_of_norm(lat, coset, 2), one enumeration of
-    that coset alone (never the sweep), as integer rows over the scale of
-    the coset representative, and each pairing row G y is computed here.
+    that coset alone (never the sweep), as integer rows y = 2v, and each
+    pairing row G y is computed here.
     """
     n = lat.rank
-    (_,), q = scaled_integer_rows([coset.rep])
     rows, pairings = [], []
     for v in vectors_of_norm(lat, coset, 2):
-        y = tuple(int(c * q) for c in v)
+        y = tuple(int(2 * c) for c in v)
         if all(dot(y, gy) == 0 for gy in pairings):
             rows.append(y)
             pairings.append(tuple(lat.gram_times(y)))
             if len(rows) == n:
-                return Frame(scale=q, rows=tuple(rows),
-                             pairings=tuple(pairings))
+                return Frame(rows=tuple(rows), pairings=tuple(pairings))
     raise AssertionError("no frame in coset %s" % coset.label())
 
 
 def sweep_offsets(lat):
-    """{rep: offsets} of the sweep's norm-2 vectors, both signs, sorted.
+    """{coset: offsets} of the sweep's norm-2 vectors, both signs, sorted.
 
     Each record's w is 2 (x + rep), so the offset is x = (w - 2 rep) / 2;
     the order is the records' (by w), which is the lex order of x.
     """
     n = lat.rank
     out = {}
-    for rep, recs in lat.torsion2_norm2_records.items():
-        r2 = [int(2 * c) for c in rep]
-        out[rep] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
-                         for r in signed_records(recs))
+    for coset, recs in lat.torsion2_norm2_records.items():
+        r2 = [int(2 * c) for c in coset.rep]
+        out[coset] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
+                           for r in signed_records(recs))
     return out

@@ -269,6 +269,17 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_a_huge_norm_with_its_tree_estimate(capsys):
+    # A2 at norm 10^10 takes 0.1 s and the time grows as sqrt(m); at a
+    # 40-digit norm the walk did not end
+    t0 = time.perf_counter()
+    assert main(["shortvec", "A2", "--norm", "1" * 40]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"about 10\^19\.7 tree nodes \(limit 10\^7\)", err), err
+
+
 @pytest.mark.parametrize("spec", [
     "A1000000000000", "D1000000000000", "Z99999999", "lb(zero(100000000))",
     "lb(rep(1000000000000))", "lb(code(1000000000000))", "A257"])
@@ -429,6 +440,22 @@ def test_cli_input_file_wrong_entry_types(tmp_path, capsys, doc):
     for verb in ("analyze", "odd"):
         assert main([verb, str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"length": 1, "generators": [' + "[" * 900 + "1" + "]" * 900 + "]}",
+    json.dumps({"length": 4, "generators": ["1" * 10 ** 5]}),
+    json.dumps({"length": 10 ** 5, "generators": ["1" * 99999 + "2"]})],
+    ids=["nested 900 deep", "10^5 characters", "10^5 characters, a 2"])
+def test_cli_code_errors_do_not_echo_the_generator(tmp_path, capsys, doc):
+    # the messages once held the whole generator: 1.8 KB for the nested
+    # one, 100 KB for the long ones
+    path = tmp_path / "code.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: generator")
+    assert len(err.encode()) < 200
 
 
 def test_cli_unreadable_input_and_empty_coset_field(tmp_path, capsys):

@@ -10,17 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_force_lexmin_f2, construction_b_generators,
                      doubly_even_sample, is_construction_b,
-                     random_doubly_even_code, random_unimodular_conjugate,
-                     rebuild_spans_lattice, same_lattice,
-                     single_coset_frame, structural_cosets_oracle)
+                     random_doubly_even_code, random_posdef_gram,
+                     random_unimodular_conjugate, rebuild_spans_lattice,
+                     same_lattice, single_coset_frame,
+                     structural_cosets_gram_route, structural_cosets_oracle)
 from voaplus import (Lattice, build_construction_b, canonicalize_coset,
                      count_norm, decompose, extract_code, extract_frame,
                      frame_cosets, hamming8, intmat, make_code, parse_spec,
                      repetition_code, rm14, structural_cosets,
                      words_of_weight, zero_code)
 from voaplus.codes import word_from_support
-from voaplus.constrb import (_check_rebuild, _lexmin_f2_solution,
-                             _mod8_lanes, _pairing_columns)
+from voaplus.constrb import (FrameDecomposition, _check_rebuild,
+                             _lexmin_f2_solution, _mod8_lanes,
+                             _pairing_columns)
 from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
                             NotDoublyEven, NotEven)
 
@@ -156,7 +158,7 @@ def test_extract_frame_on_a_fresh_lattice_sweeps_once(monkeypatch):
     lat = parse_spec("lb(rm14)")
     frame = extract_frame(lat, coset)
     assert len(calls) == 1
-    assert frame.scale == 2 and len(frame.rows) == 16
+    assert len(frame.rows) == 16
     assert frame == single_coset_frame(first, coset)
 
 
@@ -191,12 +193,12 @@ def test_sweep_records_in_skewed_bases(name, gram, plain, reached):
     n = lat.rank
     sweep = lat.torsion2_norm2_records
     for coset in lat.discriminant.torsion2_reps:
-        for r in sweep[coset.rep]:
+        for r in sweep[coset]:
             w, gw = r[:n], r[n:]
             assert list(gw) == lat.gram_times(w)
             assert intmat.dot(w, gw) == 8
-        if sweep[coset.rep]:
-            w = sweep[coset.rep][0][:n]
+        if sweep[coset]:
+            w = sweep[coset][0][:n]
             assert canonicalize_coset(
                 lat, tuple(Fraction(c, 2) for c in w)) == coset
     assert max(abs(c) for recs in sweep.values() for r in recs
@@ -373,8 +375,9 @@ def test_decompose_from_the_sweep_matches_single_coset_route(seed, conjugate):
                          for c in frame_cosets(lat).cosets)
     assert "torsion2_norm2_records" not in fresh.__dict__
     for dec in decs:
-        assert structural_cosets(lat, dec) == structural_cosets_oracle(lat,
-                                                                       dec)
+        got = structural_cosets(lat, dec)
+        assert got == structural_cosets_oracle(lat, dec)
+        assert got == structural_cosets_gram_route(lat, dec)
 
 
 def test_frame_cosets_requires_even():
@@ -409,6 +412,22 @@ def test_extract_frame_rejects_non_qualifying():
     bad = canonicalize_coset(lat, (Fraction(1, 2), Fraction(0)))
     with pytest.raises(CosetNotInR):
         extract_frame(lat, bad)
+
+
+def test_extract_code_refuses_a_frame_of_another_coset():
+    # the frame's first vector names its coset by parity key: a frame of
+    # one frame coset is refused for another, and for a coset of order 4
+    lat = parse_spec("lb(rep(8))")
+    first, second = frame_cosets(lat).cosets[:2]
+    frame = extract_frame(lat, first)
+    with pytest.raises(CosetNotInR, match="does not lie in coset"):
+        extract_code(lat, frame, second)
+    two_a1 = Lattice([[8]])
+    frame = extract_frame(two_a1, frame_cosets(two_a1).cosets[0])
+    quarter = canonicalize_coset(two_a1, (Fraction(1, 4),))
+    assert not quarter.order2
+    with pytest.raises(CosetNotInR, match="does not lie in coset"):
+        extract_code(two_a1, frame, quarter)
 
 
 def test_extract_code_roundtrips():
@@ -470,6 +489,40 @@ def test_structural_cosets_anchors():
     assert sc4.twist_plus is None and sc4.twist_minus is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       scale=st.sampled_from((1, 2, 4)))
+def test_structural_cosets_routes_agree_on_random_rows(seed, n, scale):
+    # rows of 4 Z make every quarter sum lie in L, and then the parity-key
+    # index alone decides dual membership; other rows test the 4 | num
+    # gate.  The Gram-matrix route and the Fraction route must agree.
+    rng = random.Random(seed)
+    gram = None
+    while gram is None:
+        gram = random_posdef_gram(rng, n, hi=12, even=rng.getrandbits(1))
+    lat = Lattice(gram)
+    rows = tuple(tuple(scale * rng.randrange(-3, 4) for _ in range(n))
+                 for _ in range(n))
+    signs = tuple(rng.choice((1, -1)) for _ in range(n))
+    dec = FrameDecomposition(coset=None, rows=rows, code=None, signs=signs)
+    got = structural_cosets(lat, dec)
+    assert got == structural_cosets_gram_route(lat, dec)
+    assert got == structural_cosets_oracle(lat, dec)
+
+
+def test_structural_cosets_refuse_a_quarter_sum_in_l_outside_the_dual():
+    # in A2, e_1 = (2, 0) and e_2 = (0, 2) give plus = (1/2, 1/2): twice
+    # it is (1, 1), in L, but <plus, b_1> = 1/2, so plus is not in A2*;
+    # minus = plus - e_1 = (-3/2, 1/2) is not either
+    lat = parse_spec("A2")
+    dec = FrameDecomposition(coset=None, rows=((4, 0), (0, 4)), code=None,
+                             signs=(1, 1))
+    assert lat.inner((Fraction(1, 2), Fraction(1, 2)), (1, 0)) == \
+        Fraction(1, 2)
+    assert structural_cosets(lat, dec) == (None, None)
+    assert structural_cosets_gram_route(lat, dec) == (None, None)
+
+
 def test_decompose_verifies_every_coset():
     lat, _ = build_construction_b(zero_code(3))  # the scaled rank-3 case
     decs = decompose(lat)
@@ -522,7 +575,7 @@ def test_rebuild_check_agrees_with_hnf_oracle(spec):
     refused = 0
     for dec in decs:
         frame = extract_frame(lat, dec.coset)
-        assert (frame.scale, frame.rows) == (dec.scale, dec.rows)
+        assert frame.rows == dec.rows
         assert rebuild_spans_lattice(dec)
         _check_rebuild(frame, dec.code, dec.signs)
         if dec.code.dimension:
@@ -573,7 +626,7 @@ def test_decompose_works_on_integers():
     assert len(decs) == 135
     assert len(made) == 0       # 8 775 before frames were integer rows
     dec = decs[0]
-    assert dec.frame == tuple(tuple(Fraction(c, dec.scale) for c in row)
+    assert dec.frame == tuple(tuple(Fraction(c, 2) for c in row)
                               for row in dec.rows)
     assert all(lat.norm(e) == 2 for e in dec.frame)
 

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (det_bareiss, dual_gram, is_odd,
                      leaf_count_isometry_order, naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
-                     random_unimodular_conjugate, same_lattice, sweep_offsets)
+                     random_unimodular_conjugate, rep_of_element,
+                     same_lattice, sweep_offsets)
 from voaplus import (Lattice, canonicalize_coset, count_norm, direct_sum,
                      orthogonal_group_order, parse_spec, rescale,
                      vectors_of_norm)
@@ -19,6 +20,7 @@ from voaplus.errors import (DimensionTooLarge, NormNegative, NotIntegral,
                             RankBoundExceeded)
 from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import _cached_offsets, _torsion2_basis
+from voaplus.serialize import coset_json, vec_json, vec_text
 
 
 def test_make_lattice_examples():
@@ -167,10 +169,10 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
         lat = Lattice(g)
         sweep = sweep_offsets(lat)
         cosets = lat.discriminant.torsion2_reps
-        assert sorted(sweep) == sorted(c.rep for c in cosets)
+        assert sorted(sweep) == sorted(cosets)
         for coset in cosets:
             want = tuple(enumerate_offsets(g, coset.rep, Fraction(2)))
-            assert sweep[coset.rep] == want, (g, coset.rep)
+            assert sweep[coset] == want, (g, coset)
             assert count_norm(lat, coset, 2) == len(want)
 
 
@@ -184,10 +186,10 @@ def test_torsion2_sweep_buckets_match_own_trees_on_lb_rep8(steps):
     sweep = sweep_offsets(lat)
     cosets = lat.discriminant.torsion2_reps
     assert len(cosets) == 256
-    assert sorted(sweep) == sorted(c.rep for c in cosets)
+    assert sorted(sweep) == sorted(cosets)
     for coset in cosets:
         own = _cached_offsets(lat, coset.rep, Fraction(2))
-        assert sweep[coset.rep] == own, coset.rep
+        assert sweep[coset] == own, coset
 
 
 def test_vectors_of_norm_on_a_swept_lattice_lists_the_own_tree():
@@ -199,7 +201,7 @@ def test_vectors_of_norm_on_a_swept_lattice_lists_the_own_tree():
         own = _cached_offsets(lat, coset.rep, Fraction(2))
         want = [tuple(x + r for x, r in zip(off, coset.rep)) for off in own]
         assert vectors_of_norm(lat, coset, 2) == want
-        assert own == sweep[coset.rep]
+        assert own == sweep[coset]
         assert count_norm(lat, coset, 2) == len(want)
 
 
@@ -252,7 +254,40 @@ def test_canonical_rep_maps_back_to_its_element(seed, n, even):
             elements = [tuple(rng.choice(r) for r in ranges)
                         for _ in range(64)]
         for a in elements:
-            assert disc.element_of(disc.rep_of_element(a)) == a, (g, a)
+            assert disc.element_of(rep_of_element(disc, a)) == a, (g, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       even=st.booleans())
+def test_cosets_are_integer_numerators_over_one_denominator(seed, n, even):
+    # every coset from coset_of (of a representative moved by a vector of
+    # L) and from torsion2_reps: lowest terms, the rep of the Fraction
+    # formula, compared and hashed as its rep is, printed as its rep is
+    rng, grams = coset_layer_grams(seed, n, even)
+    for g in grams:
+        disc = Lattice(g).discriminant
+        d = disc.invariant_factors
+        cosets = []
+        for _ in range(16):
+            a = tuple(rng.randrange(di) for di in d)
+            rep = rep_of_element(disc, a)
+            moved = tuple(r + rng.randrange(-3, 4) for r in rep)
+            cosets.append(disc.coset_of(moved))
+            assert cosets[-1].rep == rep, (g, a)
+        halves = product(*[(0, di // 2) if di % 2 == 0 else (0,) for di in d])
+        torsion2 = disc.torsion2_reps
+        assert ({c.rep for c in torsion2}
+                == {rep_of_element(disc, a) for a in halves}), g
+        cosets += torsion2
+        for c in cosets:
+            assert c.den > 0 and math.gcd(c.den, *c.nums) == 1, c
+            assert c.label() == vec_text(c.rep)
+            assert coset_json(c) == vec_json(c.rep)
+        for b in cosets[::3]:
+            for c in cosets:
+                assert (b == c) == (b.rep == c.rep), (b, c)
+                assert b != c or hash(b) == hash(c)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 with their defaults."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from voaplus.selftest import Check
 
 
 def _coset(*rep):
-    return Coset(rep=tuple(Fraction(x) for x in rep), order2=True)
+    rep = [Fraction(x) for x in rep]
+    den = math.lcm(*(x.denominator for x in rep))
+    return Coset(den=den, nums=tuple(int(x * den) for x in rep), order2=True)
 
 
 def _frame_cosets():
@@ -48,9 +51,9 @@ SAMPLES = {
     "Coset": lambda: _coset("1/2", 0),
     "BinaryCode": lambda: BinaryCode(length=8, basis=(255,)),
     "FrameCosets": _frame_cosets,
-    "Frame": lambda: Frame(scale=2, rows=((1,),), pairings=((4,),)),
+    "Frame": lambda: Frame(rows=((1,),), pairings=((4,),)),
     "FrameDecomposition": lambda: FrameDecomposition(
-        coset=_coset("1/2"), scale=2, rows=((1,),), code=BinaryCode(1, ()),
+        coset=_coset("1/2"), rows=((1,),), code=BinaryCode(1, ()),
         signs=(1,)),
     "StructuralCosets": lambda: StructuralCosets(twist_plus=_coset(0),
                                                  twist_minus=None),
@@ -68,11 +71,11 @@ SAMPLES = {
 }
 
 FIELDS = {
-    "Coset": ("rep", "order2"),
+    "Coset": ("den", "nums", "order2"),
     "BinaryCode": ("length", "basis"),
     "FrameCosets": ("cosets", "counts", "bound"),
-    "Frame": ("scale", "rows", "pairings"),
-    "FrameDecomposition": ("coset", "scale", "rows", "code", "signs"),
+    "Frame": ("rows", "pairings"),
+    "FrameDecomposition": ("coset", "rows", "code", "signs"),
     "StructuralCosets": ("twist_plus", "twist_minus"),
     "ModuleClass": ("kind", "coset", "sign", "count"),
     "OrbitReport": ("classes", "frame_coset_set", "twisted_sign",
@@ -130,13 +133,12 @@ def test_value_type_defaults_and_repr():
     assert ModuleClass("plain", _coset(0)).count == 1
     c = Check("x", True)
     assert (c.name, c.ok, c.detail) == ("x", True, "")
-    assert repr(_coset("1/2", 0)) == (
-        "Coset(rep=(Fraction(1, 2), Fraction(0, 1)), order2=True)")
+    assert repr(_coset("1/2", 0)) == "Coset(den=2, nums=(1, 0), order2=True)"
     assert repr(Check("x", True)) == "Check(name='x', ok=True, detail='')"
     assert repr(BinaryCode(8, (255,))) == "BinaryCode(n=8, k=1)"
     assert repr(_frame_cosets()) == (
-        "FrameCosets(cosets=(Coset(rep=(Fraction(1, 2), Fraction(0, 1)), "
-        "order2=True),), counts=(4,), bound=4)")
+        "FrameCosets(cosets=(Coset(den=2, nums=(1, 0), order2=True),), "
+        "counts=(4,), bound=4)")
 
 
 def test_binary_code_properties_cache():
