@@ -5,15 +5,15 @@ Runs ``decompose`` and then ``module_orbit`` -- the torsion-2 sweep, one
 frame, code and rebuild check per qualifying coset, the structural cosets
 of the orbit conditions -- on a freshly parsed lattice, and prints each
 case's best time over ``--repeat`` runs.  Then, in one more run, counts
-the work of a whole report as deterministic numbers: ``analyze`` and its
-JSON (``serialize.aut_report_json`` and ``serialize.dumps``) on a fresh
-lattice, with its calls of the enumeration kernel
+the work of a whole report as deterministic numbers: ``parse_spec`` of the
+lattice, ``analyze`` and its JSON (``serialize.aut_report_json`` and
+``serialize.dumps``), with its calls of the enumeration kernel
 (``kernels.enumerate_offsets``), of ``Lattice.gram_times`` and of
 ``intmat.dot``, and the ``Fraction`` objects it creates and hashes.  One
 more run counts the function calls of ``decompose`` alone under cProfile,
 built-in ones included, on a fresh lattice (the sweep included).  Exits
 with status 1 unless every case yields its known number of decompositions
-in one kernel call (the sweep) and its report creates and hashes no
+in one kernel call (the sweep) and its parse and report create and hash no
 ``Fraction``.
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
@@ -49,8 +49,9 @@ def run(lat):
     return time.perf_counter() - t0, len(decs)
 
 
-def counted(lat):
-    """{name: count} over COUNTS of the JSON report of a fresh lattice."""
+def counted(spec):
+    """{name: count} over COUNTS of parsing spec and the JSON report of
+    the lattice."""
     counts = dict.fromkeys(COUNTS, 0)
 
     def counter(name, fn):
@@ -71,7 +72,7 @@ def counted(lat):
                 staticmethod(wrapped) if name == "__new__" else wrapped)
     lattice._cached_offsets.cache_clear()
     try:
-        serialize.dumps(serialize.aut_report_json(analyze(lat)))
+        serialize.dumps(serialize.aut_report_json(analyze(parse_spec(spec))))
     finally:
         for (owner, name, _), fn in zip(patched, saved):
             setattr(owner, name, fn)
@@ -100,7 +101,7 @@ def main():
         for _ in range(args.repeat):
             seconds, count = run(parse_spec(spec))
             best = min(best, seconds)
-        counts = counted(parse_spec(spec))
+        counts = counted(spec)
         calls = decompose_calls(spec)
         print("%-12s %10.4f %6d %8d %11d %7d %10d %7d %9d"
               % ((spec, best, count) + tuple(counts.values()) + (calls,)),

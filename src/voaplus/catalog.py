@@ -16,14 +16,13 @@ extended the same way.  The catalog below ships every object the reports
 and the acceptance suite need, each with its pinned invariants.
 """
 
-import json
 import re
 from collections import namedtuple
 from fractions import Fraction
 
 from . import intmat
 from .codes import BinaryCode, hamming8, make_code, repetition_code, rm14, zero_code
-from .constrb import build_construction_b
+from .constrb import _construction_b
 from .errors import ParseError, UnknownName
 from .lattice import Lattice, direct_sum, rescale
 
@@ -257,8 +256,7 @@ class _Parser:
             self.expect_sym(")")
             if not isinstance(inner, BinaryCode):
                 raise ParseError("lb(...) needs a code", position=pos)
-            lat, _ = build_construction_b(inner)
-            return lat
+            return _construction_b(inner, None)[0]
         if call:
             raise ParseError("%r is not a constructor" % word, position=pos)
         return _atom_from_word(word, pos)
@@ -323,6 +321,8 @@ def parse_spec(text):
 
 
 def lattice_from_file(path):
+    import json     # only here: a spec that is an expression needs no json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -8,6 +8,13 @@ assertion failure, 141 (the shell's status for SIGPIPE) when the reader of
 stdout closes it early, with nothing on stderr.  VOAPLUS_RANK_BOUND, a
 non-negative integer, overrides the rank bound of the isometry-group count
 (default 4); any other value is bad input.
+
+The ``voaplus`` command and ``python -m voaplus`` run ``entry``: it calls
+``main``, flushes stdout and stderr and ends the process with os._exit, so
+the interpreter's teardown (12 to 16 ms a job on a 2-vCPU machine), which
+follows the last byte of output, is skipped.  ``atexit`` handlers do not
+run after the CLI's output.  ``main`` returns its exit code and can be
+called in process.
 """
 
 import argparse
@@ -53,18 +60,22 @@ def load_lattice(text):
     return obj
 
 
-def parse_fraction(text):
+def parse_fraction(text, name):
+    """The rational ``text``; a ParseError names the argument ``name`` and
+    the length of the text, never the text, which may be arbitrarily long."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational %r" % text) from exc
+        raise ParseError("%s is not a rational (%d characters)"
+                         % (name, len(text))) from exc
 
 
 def parse_coset(lat, text):
     parts = text.split(",")
     if len(parts) != lat.rank:
         raise ParseError("coset needs %d coordinates" % lat.rank)
-    vec = tuple(parse_fraction(p) for p in parts)
+    vec = tuple(parse_fraction(p, "--coset coordinate %d" % k)
+                for k, p in enumerate(parts))
     return canonicalize_coset(lat, vec)
 
 
@@ -86,7 +97,7 @@ def cmd_analyze(args):
 
 def cmd_shortvec(args):
     lat = load_lattice(args.spec)
-    m = parse_fraction(args.norm)
+    m = parse_fraction(args.norm, "--norm")
     coset = parse_coset(lat, args.coset) if args.coset else None
     vecs = vectors_of_norm(lat, coset, m)
 
@@ -236,5 +247,15 @@ def main(argv=None):
         return 141
 
 
+def entry():
+    """Run main() and end the process with its exit code, skipping the
+    interpreter's teardown: everything has been written once both streams
+    are flushed.  Usage errors and --help (SystemExit) exit as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -114,6 +114,17 @@ def build_construction_b(code, signs=None):
     the generators (ambient form 2*I), and the frame vectors written in
     that basis as dual vectors.
     """
+    lat, basis = _construction_b(code, signs)
+    # ambient frame vector u_i has basis coordinates u_i * (B/2)^-1 (row i)
+    adj, det = intmat.adjugate(basis)
+    frame_coords = [tuple(Fraction(2 * x, det) for x in row) for row in adj]
+    return lat, frame_coords
+
+
+def _construction_b(code, signs):
+    """(lattice, B) of build_construction_b: B holds the HNF basis rows
+    over 2 in the ambient coordinates.  The parser of lb(...) needs the
+    lattice alone, so it builds no frame."""
     if not code.is_doubly_even:
         raise NotDoublyEven("Construction B needs a doubly even code")
     n = code.length
@@ -132,11 +143,7 @@ def build_construction_b(code, signs=None):
     gram = [[intmat.dot(bi, bj) for bj in basis] for bi in basis]
     if any(e % 2 for row in gram for e in row):
         raise NotDoublyEven("generators produced a non-integral form")
-    lat = Lattice([[e // 2 for e in row] for row in gram])
-    # ambient frame vector u_i has basis coordinates u_i * (B/2)^-1 (row i)
-    adj, det = intmat.adjugate(basis)
-    frame_coords = [tuple(Fraction(2 * x, det) for x in row) for row in adj]
-    return lat, frame_coords
+    return Lattice([[e // 2 for e in row] for row in gram]), basis
 
 
 @cached_on_lattice

@@ -40,6 +40,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
+from itertools import zip_longest
 from operator import add, neg
 
 from . import intmat, kernels
@@ -463,6 +464,12 @@ def orthogonal_group_order(lat, bound=None):
     the whole basis (an isometry onto L: same Gram matrix, so index 1).
     Refuses ranks above ``bound`` (default 4): the extension search is
     exponential in principle.
+
+    The candidates of each norm are one list, packed by columns
+    (_packed_candidates), and the candidates left for b_{o_k} are a bitmask
+    over it: bit width c + width - 1 for the c-th vector.  Cutting them to
+    the u with <u, v> = p takes one product sum for all the u of a norm
+    and a few operations on whole ints (narrow).
     """
     bound = DEFAULT_RANK_BOUND if bound is None else bound
     n = lat.rank
@@ -471,31 +478,86 @@ def orthogonal_group_order(lat, bound=None):
             "rank %d exceeds the isometry search bound %d" % (n, bound))
     # |O(L)| does not depend on the basis: search in an LLL-reduced one
     lat = Lattice(intmat.lll_gram(lat.gram)[0])
-    cands = [_offsets(lat, None, lat.gram[i][i])[1] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cands[i]))
     g = lat.gram
-    gv = {v: lat.gram_times(v) for cs in cands for v in cs}
+    norms = [g[i][i] for i in range(n)]
+    # lanes: by Cauchy-Schwarz every pairing of two candidates, or of a
+    # candidate with a basis vector, is at most the largest norm in
+    # absolute value, below half = 2^(width-1)
+    width = max(norms).bit_length() + 1
+    half = 1 << (width - 1)
+    packs = {a: _packed_candidates(lat, _offsets(lat, None, a)[1], width)
+             for a in set(norms)}
+    order = sorted(range(n), key=lambda i: len(packs[norms[i]][0]))
+    norms = [norms[i] for i in order]       # by position in the order
 
-    def narrow(t, v, lists):
-        """lists (for b_{o_{t+1}}, ...) cut to the vectors u with
-        <u, v> = <b_{o_k}, b_{o_t}>, v being the image of b_{o_t}."""
-        w, row = gv[v], g[order[t]]
-        return [[u for u in cs if intmat.dot(u, w) == row[order[k]]]
-                for k, cs in enumerate(lists, t + 1)]
+    def narrow(t, v, masks):
+        """masks (for b_{o_{t+1}}, ...) cut to the vectors u with
+        <u, v> = <b_{o_k}, b_{o_t}>, v being the image of b_{o_t}.
 
-    def extends(t, lists):
-        """True at the first full assignment; lists[k] holds the images of
+        Lane c of s = sum_j v_j gcols[j] + high is <u_c, v> + half, in
+        [1, 2^width); it is p + half, p = <b_{o_k}, b_{o_t}>, exactly when
+        lane c of x = s ^ (p + half) ones is 0, which leaves bit width - 1
+        of (((x | high) - ones) | x) clear."""
+        row = g[order[t]]
+        sums = {}
+        out = []
+        for k, m in enumerate(masks, t + 1):
+            _, gcols, ones, high = packs[norms[k]]
+            s = sums.get(norms[k])
+            if s is None:
+                s = sums[norms[k]] = high + sum(
+                    vj * col for vj, col in zip(v, gcols) if vj)
+            x = s ^ (row[order[k]] + half) * ones
+            out.append(m & ~(((x | high) - ones) | x))
+        return out
+
+    def members(t, mask):
+        """The candidates of b_{o_t} in mask, in list order."""
+        cands = packs[norms[t]][0]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            yield cands[low.bit_length() // width - 1]
+
+    def extends(t, masks):
+        """True at the first full assignment; masks[k] holds the images of
         b_{o_{t+k}} that fit every image chosen so far."""
-        return not lists or (all(lists) and any(
-            extends(t + 1, narrow(t, v, lists[1:])) for v in lists[0]))
+        return not masks or (all(masks) and any(
+            extends(t + 1, narrow(t, v, masks[1:]))
+            for v in members(t, masks[0])))
 
     count = 1
-    lists = [cands[i] for i in order]
+    masks = [packs[a][3] for a in norms]
     for t, it in enumerate(order):
-        count *= sum(1 for v in lists[0]
-                     if extends(t + 1, narrow(t, v, lists[1:])))
-        lists = narrow(t, tuple(int(j == it) for j in range(n)), lists[1:])
+        count *= sum(1 for v in members(t, masks[0])
+                     if extends(t + 1, narrow(t, v, masks[1:])))
+        masks = narrow(t, tuple(int(j == it) for j in range(n)), masks[1:])
     return count
+
+
+def _packed_candidates(lat, cands, width):
+    """(cands, gcols, ones, high) for lanes of ``width`` bits.
+
+    gcols[j] = sum_c <u_c, b_j> 2^(width c) over the candidates u_c, so
+    sum_j v_j gcols[j] = sum_c <u_c, v> 2^(width c) for any v; ones has a
+    1 in every lane and high the top bit of every lane (all candidates).
+    The columns of the coordinates are packed first, in pairs of lanes,
+    then pairs of pairs, ..., and then multiplied by G: n^2 multiply-adds
+    of whole ints, no product G u_c.
+    """
+    def pack(xs):
+        shift = width
+        while len(xs) > 1:
+            xs = [lo + (hi << shift)
+                  for lo, hi in zip_longest(xs[::2], xs[1::2], fillvalue=0)]
+            shift *= 2
+        return xs[0]
+
+    cols = [pack(col) for col in zip(*cands)]
+    gcols = [sum(gij * col for gij, col in zip(row, cols) if gij)
+             for row in lat.gram]
+    ones = ((1 << (width * len(cands))) - 1) // ((1 << width) - 1)
+    return cands, gcols, ones, ones << (width - 1)
 
 
 def direct_sum(*lats):

@@ -3,14 +3,15 @@
 Everything here is deliberately naive -- box enumeration, brute-force
 products, Hermite normal forms over Fractions -- so that it shares no code
 path with the package internals it checks; the exceptions, named in their
-docstrings, are the leaf-counting isometry search, which takes its
-candidate vectors from the package, is_construction_b, which runs the
-package's decomposition, structural_cosets_oracle, which classifies
-through the package's Smith-form route (not the parity-key index it
-checks), structural_cosets_gram_route, which tests dual membership with
-the Gram matrix before it reads the index, rep_of_element, which reads
-the Smith form's adjugate rows, and single_coset_frame and sweep_offsets,
-which read one coset's own tree and the sweep's records.
+docstrings, are the leaf-counting and list-based isometry searches, which
+take their candidate vectors from the package, is_construction_b, which
+runs the package's decomposition, structural_cosets_oracle, which
+classifies through the package's Smith-form route (not the parity-key
+index it checks), structural_cosets_gram_route, which tests dual
+membership with the Gram matrix before it reads the index,
+rep_of_element, which reads the Smith form's adjugate rows, and
+single_coset_frame and sweep_offsets, which read one coset's own tree and
+the sweep's records.
 """
 
 import math
@@ -21,7 +22,7 @@ from itertools import product
 from voaplus import (Frame, Lattice, StructuralCosets, extract_code,
                      extract_frame, frame_cosets, make_code, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite, RankDeficient
-from voaplus.intmat import adjugate, dot, ldl, same_row_lattice
+from voaplus.intmat import adjugate, dot, ldl, lll_gram, same_row_lattice
 from voaplus.lattice import parity_key, signed_records
 
 
@@ -168,6 +169,40 @@ def leaf_count_isometry_order(gram):
         return total
 
     return count(0)
+
+
+def list_isometry_order(lat):
+    """|O(L)| by the orbit-product search of
+    lattice.orthogonal_group_order, with each candidate list a plain list
+    that every narrowing filters by one dot product per vector.
+
+    Takes the LLL basis and the candidate vectors from the package, like
+    the search it checks, but none of its lane packing.
+    """
+    n = lat.rank
+    lat = Lattice(lll_gram(lat.gram)[0])
+    cands = [vectors_of_norm(lat, None, lat.gram[i][i]) for i in range(n)]
+    cands = [[tuple(int(c) for c in v) for v in cs] for cs in cands]
+    order = sorted(range(n), key=lambda i: len(cands[i]))
+    g = lat.gram
+    gv = {v: lat.gram_times(v) for cs in cands for v in cs}
+
+    def narrow(t, v, lists):
+        w, row = gv[v], g[order[t]]
+        return [[u for u in cs if dot(u, w) == row[order[k]]]
+                for k, cs in enumerate(lists, t + 1)]
+
+    def extends(t, lists):
+        return not lists or (all(lists) and any(
+            extends(t + 1, narrow(t, v, lists[1:])) for v in lists[0]))
+
+    count = 1
+    lists = [cands[i] for i in order]
+    for t, it in enumerate(order):
+        count *= sum(1 for v in lists[0]
+                     if extends(t + 1, narrow(t, v, lists[1:])))
+        lists = narrow(t, tuple(int(j == it) for j in range(n)), lists[1:])
+    return count
 
 
 def brute_force_lexmin_f2(equations, nvars):

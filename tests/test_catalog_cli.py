@@ -243,6 +243,29 @@ def test_cli_closed_pipe_exits_quietly():
     assert err == b""
 
 
+def test_cli_process_writes_what_main_prints(tmp_path, capsys):
+    # `python -m voaplus` ends with os._exit once main returns: the file
+    # must still receive every byte that main prints in process
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    args = ["analyze", "A1", "--format", "json"]
+    out = tmp_path / "out.json"
+    with open(out, "wb") as fh:
+        done = subprocess.run([sys.executable, "-m", "voaplus"] + args,
+                              env=env, stdout=fh, stderr=subprocess.PIPE)
+    assert done.returncode == 0 and done.stderr == b""
+    assert main(args) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_cli_process_exits_2_on_a_bad_spec():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-m", "voaplus", "analyze", "Q7"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "input error: unknown name 'Q7' (at position 0)\n"
+
+
 def test_cli_decompose_and_orbit(capsys):
     assert main(["decompose", "2A1"]) == 0
     out = capsys.readouterr().out
@@ -458,6 +481,18 @@ def test_cli_code_errors_do_not_echo_the_generator(tmp_path, capsys, doc):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--norm", "1" * 20001), ("--norm", "1/0" + "x" * 50000),
+    ("--coset", "0," + "9" * 20001)])
+def test_cli_bad_rationals_are_not_echoed(capsys, option, value):
+    args = ["shortvec", "A2", "--norm", "2", option, value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: %s" % option)
+    assert "(%d characters)" % len(value.split(",")[-1]) in err
+    assert len(err.encode()) < 200
+
+
 def test_cli_unreadable_input_and_empty_coset_field(tmp_path, capsys):
     # a directory and a file that is not UTF-8 are bad input, not crashes
     latin1 = tmp_path / "latin1.json"
@@ -616,7 +651,9 @@ def test_import_leaves_heavy_stdlib_modules_out(module):
     # value types are namedtuples: importing dataclasses would pull in
     # inspect, ast, dis and tokenize, about 30 ms of every cold CLI run.
     # -S keeps the interpreter's own site hooks out of the picture.
-    guarded = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    # json is read only for a file argument
+    guarded = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
+               "json")
     code = ("import sys, %s; print(' '.join(m for m in %r if m in sys.modules))"
             % (module, guarded))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

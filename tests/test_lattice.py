@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (det_bareiss, dual_gram, is_odd,
-                     leaf_count_isometry_order, naive_isometry_order,
+                     leaf_count_isometry_order, list_isometry_order,
+                     naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
                      random_unimodular_conjugate, rep_of_element,
                      same_lattice, sweep_offsets)
@@ -373,6 +374,27 @@ def test_isometry_order_invariant_under_random_basis_change(seed, n):
             == orthogonal_group_order(Lattice(g)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5))
+def test_packed_isometry_search_matches_list_search(seed, n):
+    g = random_posdef_gram(random.Random(seed), n, even=True)
+    assume(g is not None)
+    lat = Lattice(g)
+    assert orthogonal_group_order(lat, bound=n) == list_isometry_order(lat)
+
+
+@pytest.mark.parametrize("gram, order", [
+    ([[2, 1], [1, 2 ** 70]], 4),
+    ([[4, 2, 0], [2, 1000, 1], [0, 1, 2 ** 40]], 4),
+    ([[2, 0, 0], [0, 2 ** 65, 0], [0, 0, 2 ** 65]], 16)])
+def test_packed_isometry_search_with_wide_lanes(gram, order):
+    # a norm past 2^64 needs lanes of more than 64 bits
+    lat = Lattice(gram)
+    assert orthogonal_group_order(lat, bound=3) == order
+    assert list_isometry_order(lat) == order
+    assert leaf_count_isometry_order(gram) == order
+
+
 @pytest.mark.parametrize("spec, order", [
     ("D4", 1152), ("sqrt2*A3", 48), ("sqrt2*D5", 3840)])
 def test_isometry_order_invariant_under_basis_change(spec, order):
@@ -391,6 +413,8 @@ def test_isometry_order_invariant_under_basis_change(spec, order):
     ("sqrt2*(A3+A3)", (2 * 24) ** 2 * 2),
     ("sqrt2*(D4+A1)", 1152 * 2),
     ("E8", 696729600),  # |W(E8)|
+    ("E8+E8", 2 * 696729600 ** 2),
+    ("D16", 2 ** 16 * math.factorial(16)),
 ])
 def test_isometry_order_closed_forms(spec, order):
     lat = parse_spec(spec)
