@@ -11,10 +11,11 @@ lattice, ``analyze`` and its JSON (``serialize.aut_report_json`` and
 (``kernels.enumerate_offsets``), of ``Lattice.gram_times`` and of
 ``intmat.dot``, and the ``Fraction`` objects it creates and hashes.  One
 more run counts the function calls of ``decompose`` alone under cProfile,
-built-in ones included, on a fresh lattice (the sweep included).  Exits
-with status 1 unless every case yields its known number of decompositions
-in one kernel call (the sweep) and its parse and report create and hash no
-``Fraction``.
+built-in ones included, on a fresh lattice (the sweep included).  Last,
+it counts the same work for E8 and Gamma16, parsed from their glue rows.
+Exits with status 1 unless every case yields its known number of
+decompositions in one kernel call (the sweep), and the parse and report of
+every case and of E8 and Gamma16 create and hash no ``Fraction``.
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 """
@@ -37,6 +38,8 @@ CASES = [
     ("lb(rep(8))", 135),
 ]
 COUNTS = ("kernel", "gram_times", "dot", "Fractions", "hashed")
+# lattices glued from D_n with a half vector, counted like the cases
+GLUED = ("E8", "Gamma16")
 
 
 def run(lat):
@@ -96,12 +99,14 @@ def main():
     print("%-12s %10s %6s %8s %11s %7s %10s %7s %9s" % (
         ("lattice", "best [s]", "decs") + COUNTS + ("calls",)))
     wrong = []
+    made = []       # (spec, counts) of every counted parse and report
     for spec, known in CASES:
         best = float("inf")
         for _ in range(args.repeat):
             seconds, count = run(parse_spec(spec))
             best = min(best, seconds)
         counts = counted(spec)
+        made.append((spec, counts))
         calls = decompose_calls(spec)
         print("%-12s %10.4f %6d %8d %11d %7d %10d %7d %9d"
               % ((spec, best, count) + tuple(counts.values()) + (calls,)),
@@ -112,6 +117,13 @@ def main():
         if counts["kernel"] > 1:
             wrong.append("%s: %d kernel calls, expected 1"
                          % (spec, counts["kernel"]))
+    for spec in GLUED:
+        counts = counted(spec)
+        made.append((spec, counts))
+        print("%-12s %10s %6s %8d %11d %7d %10d %7d %9s"
+              % ((spec, "-", "-") + tuple(counts.values()) + ("-",)),
+              flush=True)
+    for spec, counts in made:
         if counts["Fractions"] or counts["hashed"]:
             wrong.append("%s: %d Fractions created, %d hashed, expected 0"
                          % (spec, counts["Fractions"], counts["hashed"]))

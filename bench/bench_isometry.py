@@ -2,7 +2,8 @@
 """Benchmark the isometry-group count ``lattice.orthogonal_group_order``.
 
 Counts |O(L)| for the five rootless lattices of the benchmark's isometry
-workload, for sqrt2*E8 and for A1+A1 in a skewed basis, each with the rank
+workload, for sqrt2*E8 and for A1+A1 in a skewed basis, and, with
+``--max-rank 16``, for D16, E8+E8, Gamma16 and lb(rm14), each with the rank
 bound set to its rank, and prints each case's best time over ``--repeat``
 runs next to |O(L)|.  The short-vector cache is cleared before every run,
 so a time includes the enumeration of the candidate images.  Exits with
@@ -12,13 +13,15 @@ Usage: PYTHONPATH=src python bench/bench_isometry.py [--repeat N] [--max-rank R]
 """
 
 import argparse
+import math
 import sys
 import time
 
 from voaplus import lattice, parse_spec
 
-# (name, spec, known |O(L)|): |O(D5)| = 2^5 5!, |O(A_n)| = 2 (n+1)! for
-# n >= 2, |O(D4)| = 192 * 3!, |O(E8)| = |W(E8)|
+# (name, spec, known |O(L)|): |O(D_n)| = 2^n n! for n != 4, |O(A_n)| =
+# 2 (n+1)! for n >= 2, |O(D4)| = 192 * 3!, |O(E8)| = |W(E8)|, |O(Gamma16)| =
+# |W(D16)| = 2^15 16!, and lb(rm14) is the Barnes-Wall lattice BW16
 CASES = [
     ("sqrt2*D5", "sqrt2*D5", 3840),
     ("sqrt2*A5", "sqrt2*A5", 1440),
@@ -29,6 +32,10 @@ CASES = [
     # A1+A1 in the basis (b0, b1 + 94906267 b0)
     ("skewed A1+A1",
      "gram([[2,189812534],[189812534,18014399031750580]])", 8),
+    ("D16", "D16", 2 ** 16 * math.factorial(16)),
+    ("E8+E8", "E8+E8", 2 * 696729600 ** 2),
+    ("Gamma16", "Gamma16", 2 ** 15 * math.factorial(16)),
+    ("lb(rm14)", "lb(rm14)", 89181388800),
 ]
 
 

@@ -3,12 +3,13 @@
 
 Runs each command in a fresh ``python -m voaplus`` process and prints one
 line per command: the sha256 of its stdout and stderr, its exit code, and
-the command.  With no arguments the list has 122 commands: six per spec
+the command.  With no arguments the list has 124 commands: six per spec
 (``analyze`` as text and JSON, ``rl``, ``decompose --format json``,
 ``orbit``, ``shortvec --norm 2``) for the 18 even catalog lattices and A1+A1
-in a skewed basis, plus eight more (odd lattices, ``selftest``, a coset
-enumeration and the other output formats of lb(rm14)).  Given SPECs, it
-runs only the six per-spec commands for each of them.
+in a skewed basis, plus ten more (odd lattices, ``selftest``, a coset
+enumeration, the other output formats of lb(rm14), and two large
+short-vector listings, D16 at norm 4 as JSON and E8 at norm 6 as text).
+Given SPECs, it runs only the six per-spec commands for each of them.
 
 Two checkouts give the same CLI output exactly when their digests match:
 
@@ -35,7 +36,9 @@ EXTRA = (["odd", "Z1"], ["odd", "Z2"], ["odd", "Z2", "--format", "json"],
          ["selftest"],
          ["shortvec", "sqrt2*(A1+A1)", "--norm", "4", "--coset", "1/2,0"],
          ["decompose", "lb(rm14)"], ["rl", "lb(rm14)", "--format", "json"],
-         ["orbit", "lb(rm14)", "--format", "json"])
+         ["orbit", "lb(rm14)", "--format", "json"],
+         ["shortvec", "D16", "--norm", "4", "--format", "json"],
+         ["shortvec", "E8", "--norm", "6"])
 
 
 def spec_commands(spec):

@@ -18,7 +18,6 @@ and the acceptance suite need, each with its pinned invariants.
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from . import intmat
 from .codes import BinaryCode, hamming8, make_code, repetition_code, rm14, zero_code
@@ -97,12 +96,11 @@ def _cartan_a(n):
     return Lattice(g)
 
 
-def _embedding_lattice(rows):
-    """Lattice of the row span under the standard dot product."""
-    scaled, den = intmat.scaled_integer_rows(rows)
-    basis = intmat.hnf(scaled, len(rows[0]))
+def _embedding_lattice(rows, den=1):
+    """Lattice of the span of the integer rows / den under the dot product."""
+    basis = intmat.hnf(rows, len(rows[0]))
     return Lattice([[intmat.dot(bi, bj) // (den * den)
-                          for bj in basis] for bi in basis])
+                     for bj in basis] for bi in basis])
 
 
 def _d_rows(n):
@@ -124,9 +122,9 @@ def _d_lattice(n):
 
 
 def _glued_d(n):
-    rows = [[Fraction(x) for x in r] for r in _d_rows(n)]
-    rows.append([Fraction(1, 2)] * n)
-    return _embedding_lattice(rows)
+    rows = [[2 * x for x in r] for r in _d_rows(n)]
+    rows.append([1] * n)
+    return _embedding_lattice(rows, 2)
 
 
 def _atom_from_word(word, pos):

@@ -7,7 +7,8 @@ field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
 assertion failure, 141 (the shell's status for SIGPIPE) when the reader of
 stdout closes it early, with nothing on stderr.  VOAPLUS_RANK_BOUND, a
 non-negative integer, overrides the rank bound of the isometry-group count
-(default 4); any other value is bad input.
+(default 4); any other value is bad input, as is a rational argument
+with an exponent above 4300 in magnitude (int()'s digit limit).
 
 The ``voaplus`` command and ``python -m voaplus`` run ``entry``: it calls
 ``main``, flushes stdout and stderr and ends the process with os._exit, so
@@ -28,10 +29,12 @@ from .codes import BinaryCode
 from .constrb import decompose, frame_cosets
 from .errors import (InputError, InternalCheckError, ParseError,
                      PreconditionError)
-from .lattice import canonicalize_coset, vectors_of_norm
+from .lattice import canonicalize_coset, vector_rows_of_norm
 from .orbit import module_orbit
 from .report import analyze, odd_split
 from .selftest import run_selftest
+
+EXPONENT_LIMIT = 4300     # largest |exponent| of a rational (int()'s limit)
 
 
 def rank_bound():
@@ -62,8 +65,13 @@ def load_lattice(text):
 
 def parse_fraction(text, name):
     """The rational ``text``; a ParseError names the argument ``name`` and
-    the length of the text, never the text, which may be arbitrarily long."""
+    the length of the text, never the text, which may be arbitrarily long.
+    An exponent past +-EXPONENT_LIMIT is refused before Fraction expands it."""
+    _, e, exp = text.upper().partition("E")
     try:
+        if e and abs(int(exp)) > EXPONENT_LIMIT:
+            raise ParseError("%s has an exponent above %d (%d characters)"
+                             % (name, EXPONENT_LIMIT, len(text)))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("%s is not a rational (%d characters)"
@@ -99,11 +107,11 @@ def cmd_shortvec(args):
     lat = load_lattice(args.spec)
     m = parse_fraction(args.norm, "--norm")
     coset = parse_coset(lat, args.coset) if args.coset else None
-    vecs = vectors_of_norm(lat, coset, m)
+    den, rows = vector_rows_of_norm(lat, coset, m)
 
     def text():
-        lines = ["%d vectors of norm %s" % (len(vecs), m)]
-        lines += ["  " + serialize.vec_text(v) for v in vecs]
+        lines = ["%d vectors of norm %s" % (len(rows), serialize.num_text(m))]
+        lines += ["  " + serialize.scaled_vec_text(den, r) for r in rows]
         return "\n".join(lines)
 
     return emit(args, text, lambda: {
@@ -111,8 +119,8 @@ def cmd_shortvec(args):
         "kind": "short_vectors",
         "norm": serialize.frac_str(m),
         "coset": serialize.coset_json(coset) if coset else None,
-        "count": len(vecs),
-        "vectors": [serialize.vec_json(v) for v in vecs],
+        "count": len(rows),
+        "vectors": [serialize.scaled_vec_json(den, r) for r in rows],
     })
 
 

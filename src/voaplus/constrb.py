@@ -161,7 +161,7 @@ def frame_cosets(lat):
     kept = []
     counts = []
     # the sweep lists the cosets in torsion2_reps order
-    for coset, recs in zip(lat.discriminant.torsion2_reps, sweep.values()):
+    for coset, recs in sweep.items():
         c = 2 * len(recs)
         if c >= bound:
             if c > bound:
@@ -182,26 +182,19 @@ def extract_frame(lat, coset):
     qualifying coset is a nontrivial order-2 one (the trivial coset holds
     the roots alone, fewer than the bound), so the Frame's rows are the w
     and its pairings the G w.  The membership precondition is checked on
-    the coset itself (its count against the bound).  A candidate is
-    tested against all chosen vectors at once, in 8-bit lanes (module
-    docstring).  Of each pair +-w only the lexicographically smaller is a
-    candidate: the larger comes later, when the smaller has been chosen
-    (and <w, -w> = -8) or refused by a chosen vector, which then refuses
-    its negative too.
+    the coset itself: its count against the bound of frame_cosets, which
+    has checked every count.  A candidate is tested against all chosen
+    vectors at once, in 8-bit lanes (module docstring).  Of each pair +-w
+    only the lexicographically smaller is a candidate: the larger comes
+    later, when the smaller has been chosen (and <w, -w> = -8) or refused
+    by a chosen vector, which then refuses its negative too.
     """
-    require_even(lat)
     n = lat.rank
-    sweep = lat.torsion2_norm2_records      # first, so root_count reads it
-    bound = 2 * n + lat.root_count
-    recs = sweep.get(coset, ())
-    count = 2 * len(recs)
-    if not coset.order2 or count < bound:
+    bound = frame_cosets(lat).bound
+    recs = lat.torsion2_norm2_records.get(coset, ())
+    if 2 * len(recs) < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
                           % coset.label())
-    if count > bound:
-        raise EqualityViolated(
-            "coset %s has %d norm-2 vectors, bound %d"
-            % (coset.label(), count, bound))
     rows = []
     pairings = []
     cols = [0] * n      # the chosen pairings in 8-bit columns (docstring)

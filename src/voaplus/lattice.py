@@ -7,6 +7,9 @@ the lattice inside its dual carry a canonical representative derived from
 the Smith form of the Gram matrix, so equality of cosets is equality of
 representatives.  A Coset holds its representative as integer numerators
 over one denominator; the Fractions of its ``rep`` are made on demand only.
+The vectors of a given norm in a coset are integer rows over its
+denominator in the same way (vector_rows_of_norm); vectors_of_norm is
+their Fraction view.
 
 The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
 dual vector v has 2v in L exactly when w = 2v lies in
@@ -25,7 +28,7 @@ Each swept vector is kept as a record: the tuple w + G w of 2n integers
 over L's basis, G w being the pairings <w, b_j>.  The records are the one
 stored copy of the sweep.  The frame greedy of constrb reads them, and so
 do norm-2 counts on those cosets once they exist (count_norm, root_count);
-vectors_of_norm always lists a coset from its own tree.  A record costs
+vector_rows_of_norm always lists a coset from its own tree.  A record costs
 one multiply-add per nonzero coordinate of the reduced-basis vector y:
 every reduced basis row is packed once, with its G-image, into one int of
 2n signed lanes, and w + G w = sum_i y_i P_i is read back from the lanes
@@ -130,15 +133,6 @@ class Lattice:
     def gram_times(self, y):
         """G y for an integer vector y."""
         return [intmat.dot(row, y) for row in self._gram]
-
-    def inner(self, u, v):
-        g = self._gram
-        n = self._rank
-        return sum(Fraction(u[i]) * g[i][j] * Fraction(v[j])
-                   for i in range(n) for j in range(n))
-
-    def norm(self, v):
-        return self.inner(v, v)
 
     @cached_property
     def discriminant(self):
@@ -414,26 +408,33 @@ def _check_tree_size(lat, m):
 
 
 def _offsets(lat, coset, m):
-    """(rep, offsets) of the vectors of norm m in the coset (None: L),
-    from the coset's own cached tree, whether or not the sweep exists."""
+    """The offsets x of the vectors x + rep of norm m in the coset (None:
+    L), from the coset's own cached tree, whether or not the sweep exists."""
     rep = coset.rep if coset is not None else (0,) * lat.rank
     m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
     _check_tree_size(lat, m)
-    return rep, _cached_offsets(lat, rep, m)
+    return _cached_offsets(lat, rep, m)
+
+
+def vector_rows_of_norm(lat, coset, m):
+    """(den, rows): the vectors v of norm m in the coset (None: L, den 1)
+    as integer rows den v = den x + coset.nums, lex-sorted, x running over
+    the offsets of the coset's cached tree (exact integers, see kernels)."""
+    offsets = _offsets(lat, coset, m)
+    if coset is None:
+        return 1, offsets
+    den, nums = coset.den, coset.nums
+    return den, tuple(tuple(den * x + r for x, r in zip(off, nums))
+                      for off in offsets)
 
 
 def vectors_of_norm(lat, coset, m):
-    """Every dual vector v in the coset with <v, v> == m, lex-sorted.
-
-    ``coset`` may be a Coset or None for the lattice itself.  Enumeration is
-    exact integer arithmetic throughout (see kernels).
-    """
-    rep, offsets = _offsets(lat, coset, m)
-    (rnum,), q = intmat.scaled_integer_rows([rep])
-    return [tuple(Fraction(q * x + r, q) for x, r in zip(off, rnum))
-            for off in offsets]
+    """Every dual vector v in the coset (a Coset, or None for L) with
+    <v, v> == m, lex-sorted: vector_rows_of_norm as tuples of Fractions."""
+    den, rows = vector_rows_of_norm(lat, coset, m)
+    return [tuple(Fraction(x, den) for x in row) for row in rows]
 
 
 def count_norm(lat, coset, m):
@@ -450,7 +451,7 @@ def count_norm(lat, coset, m):
         recs = sweep.get(lat.trivial_coset if coset is None else coset)
         if recs is not None:
             return 2 * len(recs)
-    return len(_offsets(lat, coset, m)[1])
+    return len(_offsets(lat, coset, m))
 
 
 def orthogonal_group_order(lat, bound=None):
@@ -485,14 +486,15 @@ def orthogonal_group_order(lat, bound=None):
     # absolute value, below half = 2^(width-1)
     width = max(norms).bit_length() + 1
     half = 1 << (width - 1)
-    packs = {a: _packed_candidates(lat, _offsets(lat, None, a)[1], width)
+    packs = {a: _packed_candidates(lat, _offsets(lat, None, a), width)
              for a in set(norms)}
     order = sorted(range(n), key=lambda i: len(packs[norms[i]][0]))
     norms = [norms[i] for i in order]       # by position in the order
 
     def narrow(t, v, masks):
         """masks (for b_{o_{t+1}}, ...) cut to the vectors u with
-        <u, v> = <b_{o_k}, b_{o_t}>, v being the image of b_{o_t}.
+        <u, v> = <b_{o_k}, b_{o_t}>, v being the image of b_{o_t}; the
+        list ends at the first mask that empties, which extends rejects.
 
         Lane c of s = sum_j v_j gcols[j] + high is <u_c, v> + half, in
         [1, 2^width); it is p + half, p = <b_{o_k}, b_{o_t}>, exactly when
@@ -509,6 +511,8 @@ def orthogonal_group_order(lat, bound=None):
                     vj * col for vj, col in zip(v, gcols) if vj)
             x = s ^ (row[order[k]] + half) * ones
             out.append(m & ~(((x | high) - ones) | x))
+            if not out[-1]:
+                break
         return out
 
     def members(t, mask):

@@ -11,7 +11,6 @@ stabilizer then contains continuous factors this tool does not model.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .constrb import decompose, frame_cosets
 from .errors import NotOdd, RankBoundExceeded, SplitCheckFailed
@@ -119,9 +118,9 @@ def analyze(lat, bound=None):
 class OddReport(namedtuple("OddReport", (
         "lattice even_part even_basis odd_rep odd_rep_norm odd_coset "
         "odd_coset_in_orbit even_report aut_order"))):
-    """even_basis: rows over the original basis; odd_rep: a vector of odd
-    norm, in original coordinates; odd_coset: the class of odd_rep over the
-    even part; aut_order: 2 * aut(even)/orbit when computable."""
+    """even_basis: rows over the original basis; odd_rep: an integer vector
+    of odd norm odd_rep_norm, in original coordinates; odd_coset: its class
+    over the even part; aut_order: 2 * aut(even)/orbit when computable."""
     __slots__ = ()
 
 
@@ -149,7 +148,7 @@ def even_sublattice(lat):
     rows.append(r)
     basis = intmat.hnf(rows, n)
     sub = Lattice(sublattice_gram(lat, basis))
-    alpha = tuple(Fraction(1 if i == i0 else 0) for i in range(n))
+    alpha = tuple(int(i == i0) for i in range(n))
     return sub, tuple(tuple(x) for x in basis), alpha
 
 
@@ -172,9 +171,9 @@ def odd_split(lat, bound=None):
         if any(x.denominator > 2 for x in row):
             raise SplitCheckFailed("twice basis vector %d is not in the "
                                    "even part" % i)
-    alpha_norm = lat.norm(alpha)
-    if alpha_norm.denominator != 1 or int(alpha_norm) % 2 != 1:
-        raise SplitCheckFailed("the odd representative has norm %s"
+    alpha_norm = intmat.dot(alpha, lat.gram_times(alpha))
+    if alpha_norm % 2 != 1:
+        raise SplitCheckFailed("the odd representative has norm %d"
                                % alpha_norm)
     # alpha = e_i0, so its coordinates over the even part are row i0 of B^-1
     alpha_sub = tuple(binv[alpha.index(1)])

@@ -9,6 +9,8 @@ str() of an int over 4300 digits; that limit guards the parsing of input,
 but a report may hold products of accepted entries beyond it (the
 determinant of a Gram matrix with 3000-digit entries), so the numbers
 that grow with the input go through int_str, and JSON through dumps.
+One renderer writes every vector, an integer row over one denominator,
+as JSON (scaled_vec_json) or text (scaled_vec_text): no Fraction is made.
 """
 
 from functools import lru_cache
@@ -47,14 +49,6 @@ def num_text(x):
     return _ratio_str(x.numerator, x.denominator).removesuffix("/1")
 
 
-def vec_json(vec):
-    return list(map(frac_str, vec))
-
-
-def vec_text(vec):
-    return "(" + ", ".join(map(num_text, vec)) + ")"
-
-
 @lru_cache(maxsize=1024)
 def _ratio_str(num, den):
     """num / den (den > 0) in lowest terms as "p/q".  Frame rows repeat a
@@ -64,12 +58,12 @@ def _ratio_str(num, den):
 
 
 def scaled_vec_json(scale, row):
-    """vec_json of the vector row / scale (integer row, scale > 0)."""
+    """The vector row / scale (integer row, scale > 0) as "p/q" strings."""
     return list(map(_ratio_str, row, repeat(scale)))
 
 
 def scaled_vec_text(scale, row):
-    """vec_text of the vector row / scale (integer row, scale > 0)."""
+    """The vector row / scale as text, "(p/q, p, ...)" (num_text entries)."""
     return "(" + ", ".join(_ratio_str(c, scale).removesuffix("/1")
                            for c in row) + ")"
 
@@ -228,7 +222,7 @@ def odd_report_json(rep):
                     "gram": [list(r) for r in rep.lattice.gram]},
         "even_part": lattice_json(rep.even_part),
         "even_basis": [list(r) for r in rep.even_basis],
-        "odd_rep": vec_json(rep.odd_rep),
+        "odd_rep": scaled_vec_json(1, rep.odd_rep),
         "odd_rep_norm": frac_str(rep.odd_rep_norm),
         "odd_coset": coset_json(rep.odd_coset),
         "odd_coset_in_orbit": rep.odd_coset_in_orbit,
@@ -282,8 +276,8 @@ def odd_report_text(rep):
       % (rep.lattice.rank, int_str(rep.lattice.det)))
     w("even part: det %s, basis rows %s"
       % (int_str(rep.even_part.det), [list(r) for r in rep.even_basis]))
-    w("odd representative %s, norm %s" % (vec_text(rep.odd_rep),
-                                          num_text(rep.odd_rep_norm)))
+    w("odd representative %s, norm %s"
+      % (scaled_vec_text(1, rep.odd_rep), num_text(rep.odd_rep_norm)))
     w("its class over the even part: %s (in orbit: %s)"
       % (rep.odd_coset.label(), rep.odd_coset_in_orbit))
     if rep.aut_order is not None:

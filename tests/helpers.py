@@ -328,6 +328,28 @@ def is_odd(lat):
     return not lat.is_even
 
 
+def inner(lat, u, v):
+    """<u, v> for coordinate vectors of ints or Fractions, as a Fraction."""
+    g = lat.gram
+    n = lat.rank
+    return sum(Fraction(u[i]) * g[i][j] * Fraction(v[j])
+               for i in range(n) for j in range(n))
+
+
+def norm(lat, v):
+    return inner(lat, v, v)
+
+
+def vec_json(vec):
+    """A vector of ints or Fractions as the JSON writer lists it: "p/q"."""
+    return ["%d/%d" % (x.numerator, x.denominator) for x in map(Fraction, vec)]
+
+
+def vec_text(vec):
+    """A vector of ints or Fractions as the text writer prints it."""
+    return "(" + ", ".join(str(Fraction(x)) for x in vec) + ")"
+
+
 def dual_gram(lat):
     """Gram matrix of the dual basis: the exact inverse of lat.gram."""
     rows, den = adjugate(lat.gram)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -414,7 +415,7 @@ def test_cli_text_mode_builds_no_json(monkeypatch, capsys, argv):
     def refuse(*args):
         raise AssertionError("JSON built in text mode")
     for name in ("aut_report_json", "odd_report_json", "frame_cosets_json",
-                 "decomposition_json", "orbit_json", "vec_json"):
+                 "decomposition_json", "orbit_json", "scaled_vec_json"):
         monkeypatch.setattr(serialize, name, refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out
@@ -491,6 +492,72 @@ def test_cli_bad_rationals_are_not_echoed(capsys, option, value):
     assert err.startswith("input error: %s" % option)
     assert "(%d characters)" % len(value.split(",")[-1]) in err
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--norm", "1e10000000"), ("--norm", "1e5000"),
+    ("--coset", "1e-10000000,0")])
+def test_cli_refuses_exponents_past_the_digit_limit(capsys, option, value):
+    # 1e5000 ended in a ValueError traceback in text mode, and Fraction
+    # wrote out 10^10000000 for longer than 30 s
+    t0 = time.perf_counter()
+    assert main(["shortvec", "A2", "--norm", "2", option, value]) == 2
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: %s" % option)
+    assert "exponent above 4300 (%d characters)" % len(value.split(",")[0]) \
+        in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("norm, digits", [("1e4300", "1" + "0" * 4300),
+                                          ("1.0e-4300", "1/1" + "0" * 4300)],
+                         ids=["1e4300", "1.0e-4300"])
+def test_cli_norm_at_the_exponent_limit(capsys, norm, digits):
+    # the text header printed the norm with str(), which refuses 4301 digits
+    t0 = time.perf_counter()
+    assert main(["shortvec", "A1", "--norm", norm]) == 0
+    assert capsys.readouterr().out == "0 vectors of norm %s\n" % digits
+    assert main(["shortvec", "A1", "--norm", norm, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["norm"] in (digits,
+                                                          digits + "/1")
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """A list that grows by one with every Fraction created from now on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    return made
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_shortvec_writes_integer_rows(capsys, fractions_made, fmt):
+    # 53 827 Fractions when every listed coordinate was one
+    assert main(["shortvec", "E8", "--norm", "6", "--format", fmt]) == 0
+    assert len(fractions_made) <= 4
+    out = capsys.readouterr().out
+    count = (json.loads(out)["count"] if fmt == "json"
+             else int(out.split(" ", 1)[0]))
+    assert count == 6720        # 240 sigma_3(3)
+
+
+@pytest.mark.parametrize("spec", ["E8", "Gamma16"])
+def test_glued_lattices_parse_and_report_without_fractions(
+        capsys, fractions_made, spec):
+    # their glue rows were Fractions: 65 and 257 of them
+    assert parse_spec(spec).det == 1
+    assert not fractions_made
+    assert main(["analyze", spec, "--format", "json"]) == 0
+    assert not fractions_made
+    assert json.loads(capsys.readouterr().out)["lattice"]["rank"] in (8, 16)
 
 
 def test_cli_unreadable_input_and_empty_coset_field(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_force_lexmin_f2, construction_b_generators,
-                     doubly_even_sample, is_construction_b,
+                     doubly_even_sample, inner, is_construction_b, norm,
                      random_doubly_even_code, random_posdef_gram,
                      random_unimodular_conjugate, rebuild_spans_lattice,
                      same_lattice, single_coset_frame,
@@ -30,7 +30,7 @@ from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
 def test_build_zero_code_rank1_gives_scaled_a1():
     lat, frame = build_construction_b(zero_code(1))
     assert lat.gram == ((8,),)
-    assert lat.norm(frame[0]) == 2
+    assert norm(lat, frame[0]) == 2
 
 
 def test_build_zero_code_rank2_matches_scaled_pair():
@@ -39,8 +39,8 @@ def test_build_zero_code_rank2_matches_scaled_pair():
     assert lat.det == 16
     assert lat.root_count == 0
     assert count_norm(lat, None, 4) == 4
-    assert all(lat.norm(f) == 2 for f in frame)
-    assert lat.inner(frame[0], frame[1]) == 0
+    assert all(norm(lat, f) == 2 for f in frame)
+    assert inner(lat, frame[0], frame[1]) == 0
 
 
 def test_build_refuses_non_doubly_even():
@@ -401,8 +401,8 @@ def test_extract_frame_examples():
     coset = frame_cosets(d44).cosets[0]
     frame = extract_frame(d44, coset).vectors
     assert len(frame) == 2
-    assert d44.inner(frame[0], frame[1]) == 0
-    assert all(d44.norm(f) == 2 for f in frame)
+    assert inner(d44, frame[0], frame[1]) == 0
+    assert all(norm(d44, f) == 2 for f in frame)
     # deterministic
     assert frame == extract_frame(d44, coset).vectors
 
@@ -517,7 +517,7 @@ def test_structural_cosets_refuse_a_quarter_sum_in_l_outside_the_dual():
     lat = parse_spec("A2")
     dec = FrameDecomposition(coset=None, rows=((4, 0), (0, 4)), code=None,
                              signs=(1, 1))
-    assert lat.inner((Fraction(1, 2), Fraction(1, 2)), (1, 0)) == \
+    assert inner(lat, (Fraction(1, 2), Fraction(1, 2)), (1, 0)) == \
         Fraction(1, 2)
     assert structural_cosets(lat, dec) == (None, None)
     assert structural_cosets_gram_route(lat, dec) == (None, None)
@@ -628,7 +628,7 @@ def test_decompose_works_on_integers():
     dec = decs[0]
     assert dec.frame == tuple(tuple(Fraction(c, 2) for c in row)
                               for row in dec.rows)
-    assert all(lat.norm(e) == 2 for e in dec.frame)
+    assert all(norm(lat, e) == 2 for e in dec.frame)
 
 
 def test_roundtrip_sample_of_random_codes():

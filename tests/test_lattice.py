@@ -12,7 +12,7 @@ from helpers import (det_bareiss, dual_gram, is_odd,
                      naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
                      random_unimodular_conjugate, rep_of_element,
-                     same_lattice, sweep_offsets)
+                     same_lattice, sweep_offsets, vec_json, vec_text)
 from voaplus import (Lattice, canonicalize_coset, count_norm, direct_sum,
                      orthogonal_group_order, parse_spec, rescale,
                      vectors_of_norm)
@@ -21,7 +21,7 @@ from voaplus.errors import (DimensionTooLarge, NormNegative, NotIntegral,
                             RankBoundExceeded)
 from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import _cached_offsets, _torsion2_basis
-from voaplus.serialize import coset_json, vec_json, vec_text
+from voaplus.serialize import coset_json
 
 
 def test_make_lattice_examples():

@@ -71,11 +71,18 @@ def test_odd_split_rank1():
     assert rep.even_part.is_even
     # index 2: determinant scales by 4
     assert rep.even_part.det == 4 * 1
-    assert rep.odd_rep == (Fraction(1),)
+    assert rep.odd_rep == (1,)
     assert rep.odd_rep_norm == 1
     assert rep.odd_coset.rep == (Fraction(1, 2),)
     assert rep.odd_coset_in_orbit is False
     assert rep.even_report.orbit_size == 1
+
+
+def test_odd_split_keeps_integer_coordinates():
+    # the odd representative and its norm were Fractions
+    rep = odd_split(parse_spec("Z2"))
+    assert rep.odd_rep == (1, 0) and rep.odd_rep_norm == 1
+    assert {type(x) for x in rep.odd_rep + (rep.odd_rep_norm,)} == {int}
 
 
 def test_odd_split_rank2():

@@ -63,7 +63,7 @@ SAMPLES = {
     "AutReport": _aut_report,
     "OddReport": lambda: OddReport(
         lattice=parse_spec("Z1"), even_part=parse_spec("2A1"),
-        even_basis=((2,),), odd_rep=(Fraction(1),), odd_rep_norm=Fraction(1),
+        even_basis=((2,),), odd_rep=(1,), odd_rep_norm=1,
         odd_coset=_coset("1/2"), odd_coset_in_orbit=True,
         even_report=_aut_report(), aut_order=4),
     "CatalogEntry": lambda: CatalogEntry("A1", "lattice", "A1", {"rank": 1}),
