@@ -12,10 +12,12 @@ lattice, ``analyze`` and its JSON (``serialize.aut_report_json`` and
 ``intmat.dot``, and the ``Fraction`` objects it creates and hashes.  One
 more run counts the function calls of ``decompose`` alone under cProfile,
 built-in ones included, on a fresh lattice (the sweep included).  Last,
-it counts the same work for E8 and Gamma16, parsed from their glue rows.
-Exits with status 1 unless every case yields its known number of
-decompositions in one kernel call (the sweep), and the parse and report of
-every case and of E8 and Gamma16 create and hash no ``Fraction``.
+it counts the same work for E8 and Gamma16, parsed from their glue rows,
+for the odd split of Z2 (``odd_split`` and its JSON) and for the report
+of sqrt2*A6 with the isometry search on (rank bound 6).  Exits with
+status 1 unless every case yields its known number of decompositions in
+one kernel call (the sweep), and none of these jobs creates or hashes a
+``Fraction``.
 
 Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 """
@@ -30,7 +32,7 @@ from fractions import Fraction
 from voaplus import intmat, kernels, lattice, parse_spec, serialize
 from voaplus.constrb import decompose
 from voaplus.orbit import module_orbit
-from voaplus.report import analyze
+from voaplus.report import analyze, odd_split
 
 # (spec, known number of decompositions: the qualifying cosets)
 CASES = [
@@ -40,6 +42,12 @@ CASES = [
 COUNTS = ("kernel", "gram_times", "dot", "Fractions", "hashed")
 # lattices glued from D_n with a half vector, counted like the cases
 GLUED = ("E8", "Gamma16")
+# whole jobs counted like the cases: (name, job)
+JOBS = (
+    ("odd Z2", lambda: serialize.odd_report_json(odd_split(parse_spec("Z2")))),
+    ("sqrt2*A6", lambda: serialize.aut_report_json(
+        analyze(parse_spec("sqrt2*A6"), 6))),
+)
 
 
 def run(lat):
@@ -52,9 +60,14 @@ def run(lat):
     return time.perf_counter() - t0, len(decs)
 
 
-def counted(spec):
-    """{name: count} over COUNTS of parsing spec and the JSON report of
-    the lattice."""
+def report_json(spec):
+    """The JSON document of the report of the lattice spec, parse included."""
+    return serialize.aut_report_json(analyze(parse_spec(spec)))
+
+
+def counted(job):
+    """{name: count} over COUNTS of job() and the JSON text of what it
+    returns."""
     counts = dict.fromkeys(COUNTS, 0)
 
     def counter(name, fn):
@@ -75,7 +88,7 @@ def counted(spec):
                 staticmethod(wrapped) if name == "__new__" else wrapped)
     lattice._cached_offsets.cache_clear()
     try:
-        serialize.dumps(serialize.aut_report_json(analyze(parse_spec(spec))))
+        serialize.dumps(job())
     finally:
         for (owner, name, _), fn in zip(patched, saved):
             setattr(owner, name, fn)
@@ -105,7 +118,7 @@ def main():
         for _ in range(args.repeat):
             seconds, count = run(parse_spec(spec))
             best = min(best, seconds)
-        counts = counted(spec)
+        counts = counted(lambda: report_json(spec))
         made.append((spec, counts))
         calls = decompose_calls(spec)
         print("%-12s %10.4f %6d %8d %11d %7d %10d %7d %9d"
@@ -117,11 +130,12 @@ def main():
         if counts["kernel"] > 1:
             wrong.append("%s: %d kernel calls, expected 1"
                          % (spec, counts["kernel"]))
-    for spec in GLUED:
-        counts = counted(spec)
-        made.append((spec, counts))
+    jobs = [(spec, lambda spec=spec: report_json(spec)) for spec in GLUED]
+    for name, job in jobs + list(JOBS):
+        counts = counted(job)
+        made.append((name, counts))
         print("%-12s %10s %6s %8d %11d %7d %10d %7d %9s"
-              % ((spec, "-", "-") + tuple(counts.values()) + ("-",)),
+              % ((name, "-", "-") + tuple(counts.values()) + ("-",)),
               flush=True)
     for spec, counts in made:
         if counts["Fractions"] or counts["hashed"]:

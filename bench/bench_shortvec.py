@@ -4,9 +4,10 @@
 Runs fixed-norm enumerations through ``kernels.enumerate_offsets`` --
 whole lattices, or every order-<=2 coset of one, either one tree per coset
 or in one pass over M = L cap 2L* (the route the package takes, LLL
-reduction and bucketing included) -- and prints each case's best time over
-``--repeat`` runs and the number of vectors found.  Exits with status 1
-if any count differs from the case's known value.
+reduction and bucketing included); each coset goes to the kernel as its
+integer numerators over one denominator -- and prints each case's best
+time over ``--repeat`` runs and the number of vectors found.  Exits with
+status 1 if any count differs from the case's known value.
 
 Usage: PYTHONPATH=src python bench/bench_shortvec.py [--repeat N]
 """
@@ -14,7 +15,6 @@ Usage: PYTHONPATH=src python bench/bench_shortvec.py [--repeat N]
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from voaplus import lattice, parse_spec
 from voaplus.kernels import enumerate_offsets
@@ -39,11 +39,11 @@ def run_case(lat, coset_mode, m):
         # the sweep keeps one record of each pair +-v
         return 2 * sum(map(len, lattice._torsion2_sweep(lat).values()))
     if coset_mode is None:
-        reps = [(0,) * lat.rank]
+        reps = [(1, (0,) * lat.rank)]
     else:
-        reps = [c.rep for c in lat.discriminant.torsion2_reps]
-    return sum(len(enumerate_offsets(lat.gram, rep, Fraction(m)))
-               for rep in reps)
+        reps = [(c.den, c.nums) for c in lat.discriminant.torsion2_reps]
+    return sum(len(enumerate_offsets(lat.gram, den, nums, m))
+               for den, nums in reps)
 
 
 def main():

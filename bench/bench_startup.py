@@ -17,8 +17,9 @@ and one untimed import writes the caches first.
 Then lists the standard-library modules the import adds to a bare
 interpreter, and exits 1 if any of GUARDED is among them: dataclasses and
 typing, and the inspect, ast, dis and tokenize that come with them, add
-about 30 ms to every CLI run, and json about 4 ms (the package reads it
-only for a file argument).
+about 30 ms to every CLI run, json about 4 ms (the package reads it only
+for a file argument), and fractions with the decimal it loads about 2.5 ms
+(only the Fraction views and shortvec's rational arguments need it).
 
 Usage: PYTHONPATH=src python bench/bench_startup.py [--repeat N]
 """
@@ -31,7 +32,7 @@ import sys
 import time
 
 GUARDED = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
-           "json")
+           "json", "fractions", "decimal")
 ADDED = ("import sys; before = set(sys.modules); import voaplus.cli; "
          "print(' '.join(sorted(set(sys.modules) - before)))")
 JOB = ["analyze", "A1", "--format", "json"]

@@ -2,8 +2,8 @@
 coset short-vector counts, Construction-B decompositions, module-class
 orbits, and the automorphism-group orders they determine."""
 
-from .lattice import (Coset, DiscriminantGroup, Lattice, canonicalize_coset,
-                      count_norm, direct_sum, orthogonal_group_order, rescale,
+from .lattice import (Coset, DiscriminantGroup, Lattice, count_norm,
+                      direct_sum, orthogonal_group_order, rescale,
                       vectors_of_norm)
 from .codes import (BinaryCode, hamming8, make_code, repetition_code, rm14,
                     rm14_subcode, words_of_weight, zero_code)

@@ -254,7 +254,7 @@ class _Parser:
             self.expect_sym(")")
             if not isinstance(inner, BinaryCode):
                 raise ParseError("lb(...) needs a code", position=pos)
-            return _construction_b(inner, None)[0]
+            return _construction_b(inner)[0]
         if call:
             raise ParseError("%r is not a constructor" % word, position=pos)
         return _atom_from_word(word, pos)

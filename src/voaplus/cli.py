@@ -21,7 +21,6 @@ called in process.
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .catalog import lattice_from_file, parse_spec
@@ -29,7 +28,7 @@ from .codes import BinaryCode
 from .constrb import decompose, frame_cosets
 from .errors import (InputError, InternalCheckError, ParseError,
                      PreconditionError)
-from .lattice import canonicalize_coset, vector_rows_of_norm
+from .lattice import vector_rows_of_norm
 from .orbit import module_orbit
 from .report import analyze, odd_split
 from .selftest import run_selftest
@@ -66,7 +65,9 @@ def load_lattice(text):
 def parse_fraction(text, name):
     """The rational ``text``; a ParseError names the argument ``name`` and
     the length of the text, never the text, which may be arbitrarily long.
-    An exponent past +-EXPONENT_LIMIT is refused before Fraction expands it."""
+    An exponent past +-EXPONENT_LIMIT is refused before Fraction expands it
+    (fractions is imported here, by the one command that reads rationals)."""
+    from fractions import Fraction
     _, e, exp = text.upper().partition("E")
     try:
         if e and abs(int(exp)) > EXPONENT_LIMIT:
@@ -84,7 +85,7 @@ def parse_coset(lat, text):
         raise ParseError("coset needs %d coordinates" % lat.rank)
     vec = tuple(parse_fraction(p, "--coset coordinate %d" % k)
                 for k, p in enumerate(parts))
-    return canonicalize_coset(lat, vec)
+    return lat.discriminant.coset_of(vec)
 
 
 def emit(args, text_fn, json_fn):

@@ -9,7 +9,7 @@ words.
 """
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (CrossCheckFailed, DimensionTooLarge, LengthMismatch,
                      ParseError, WrongLength)
@@ -207,7 +207,6 @@ def words_of_weight(code, w):
     return found
 
 
-@lru_cache(maxsize=64)
 def rm14_subcode(code):
     """A witness subcode with weight distribution {0:1, 8:30, 16:1}, or None.
 
@@ -216,9 +215,7 @@ def rm14_subcode(code):
     Reed-Muller code (pairwise weight-8 intersections being 0, 4 or 8
     forces it), so the weight profile is the whole test.  Search: grow a
     basis of weight-8 words above the all-one word, depth-first, keeping
-    the profile at every step.  Kept per code (a BinaryCode is hashable):
-    the decompositions of one lattice often share their code, as all 135
-    of lb(rm14) do.
+    the profile at every step.
     """
     if code.length != 16:
         raise WrongLength("subcode detection requires length 16")

@@ -13,12 +13,13 @@ Frames stay integral from the sweep to the output.  Every frame coset is
 a nontrivial order-2 coset, so a frame vector e_i is half of an integer
 row y_i = 2 e_i over L's basis: a Frame holds the rows y_i together with
 the rows G y_i, and a FrameDecomposition keeps the y_i.  Fractions appear
-only in the ``vectors``/``frame`` views.  Frames come only from the
-sweep's records w + G w (lattice module docstring): the rows y_i are the
-w, and the greedy computes no G y.  Cosets are integral too (lattice.Coset,
-numerators over one denominator); the frame's coset and the structural
-cosets are looked up by the parity key of twice the vector
-(DiscriminantGroup.torsion2_index), not through the Smith form.
+only in the ``vectors``/``frame`` views and build_construction_b's frame,
+made by intmat.fraction_rows.  Frames come only from the sweep's records
+w + G w (lattice module docstring): the rows y_i are the w, and the greedy
+computes no G y.  Cosets are integral too (lattice.Coset, numerators over
+one denominator); the frame's coset and the structural cosets are looked
+up by the parity key of twice the vector (DiscriminantGroup.torsion2_index),
+not through the Smith form.
 
 The rebuild check.  Let R be the lattice that (code, signs, frame)
 generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
@@ -59,7 +60,6 @@ of 8 bits hold them.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain
 from operator import neg
 
@@ -75,10 +75,6 @@ class FrameCosets(namedtuple("FrameCosets", "cosets counts bound")):
     __slots__ = ()
 
 
-def _halved_rows(rows):
-    return tuple(tuple(Fraction(c, 2) for c in row) for row in rows)
-
-
 class Frame(namedtuple("Frame", "rows pairings")):
     """An orthogonal norm-2 frame e_i = rows[i] / 2 in integer rows over
     L's basis, and pairings[i] = G rows[i], so <e_i, b_j> is
@@ -88,7 +84,7 @@ class Frame(namedtuple("Frame", "rows pairings")):
     @property
     def vectors(self):
         """The frame vectors as tuples of Fractions."""
-        return _halved_rows(self.rows)
+        return tuple(intmat.fraction_rows(self.rows, 2))
 
 
 class FrameDecomposition(namedtuple("FrameDecomposition",
@@ -104,35 +100,33 @@ class FrameDecomposition(namedtuple("FrameDecomposition",
     @property
     def frame(self):
         """The frame vectors as tuples of Fractions."""
-        return _halved_rows(self.rows)
+        return tuple(intmat.fraction_rows(self.rows, 2))
 
 
-def build_construction_b(code, signs=None):
+def build_construction_b(code):
     """Lattice of a doubly even code over the standard norm-2 frame.
 
     Returns (lattice, frame_coords): the Gram matrix of the HNF basis of
     the generators (ambient form 2*I), and the frame vectors written in
     that basis as dual vectors.
     """
-    lat, basis = _construction_b(code, signs)
+    lat, basis = _construction_b(code)
     # ambient frame vector u_i has basis coordinates u_i * (B/2)^-1 (row i)
     adj, det = intmat.adjugate(basis)
-    frame_coords = [tuple(Fraction(2 * x, det) for x in row) for row in adj]
-    return lat, frame_coords
+    return lat, intmat.fraction_rows([[2 * x for x in row] for row in adj],
+                                     det)
 
 
-def _construction_b(code, signs):
+def _construction_b(code):
     """(lattice, B) of build_construction_b: B holds the HNF basis rows
     over 2 in the ambient coordinates.  The parser of lb(...) needs the
     lattice alone, so it builds no frame."""
     if not code.is_doubly_even:
         raise NotDoublyEven("Construction B needs a doubly even code")
     n = code.length
-    signs = (1,) * n if signs is None else signs
     # the generators over the standard frame (module docstring), as rows
-    # over 2: the signed codeword sums, 4 e_1 and the 2 (e_i + e_{i+1})
-    gens = [[s if word >> i & 1 else 0 for i, s in enumerate(signs)]
-            for word in code.basis]
+    # over 2: the codeword sums, 4 e_1 and the 2 (e_i + e_{i+1})
+    gens = [[word >> i & 1 for i in range(n)] for word in code.basis]
     gens.append([4] + [0] * (n - 1))
     gens += [[2 if j in (i, i + 1) else 0 for j in range(n)]
              for i in range(n - 1)]

@@ -1,16 +1,16 @@
 """Exact integer and rational matrix routines.
 
 Fraction-free LDL and adjugates (Bareiss), Hermite normal forms, Smith
-forms as (diag, U) with U the left transform, dense Fraction inverses and
-the integral LLL reduction of a Gram matrix, all over plain Python
-arbitrary-precision numbers.  Matrices are lists of row lists.  Sizes in
+forms as (diag, U) with U the left transform and the integral LLL
+reduction of a Gram matrix, all over Python ints.  fraction_rows makes
+every Fraction of the package's views, importing ``fractions`` on first
+use.  Matrices are lists of row lists.  Sizes in
 this package stay modest (catalog ranks up to 16, constructor sizes up to
 catalog.SIZE_LIMIT = 128), so the straightforward algorithms are the right
 ones.
 """
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import NotPositiveDefinite, RankDeficient
@@ -249,11 +249,18 @@ def adjugate(mat):
     return [[s * x for x in row[n:]] for row in a], s * prev
 
 
+def fraction_rows(rows, den):
+    """The integer rows over den > 0 as a list of tuples of Fractions;
+    a job that makes none never loads fractions (nor decimal, numbers)."""
+    from fractions import Fraction
+    return [tuple(Fraction(x, den) for x in row) for row in rows]
+
+
 def invert_fraction(mat):
     """Exact inverse of a nonsingular matrix with int/Fraction entries."""
     rows, den = scaled_integer_rows(mat)
     adj, det = adjugate(rows)
-    return [[Fraction(den * x, det) for x in row] for row in adj]
+    return fraction_rows([[den * x for x in row] for row in adj], det)
 
 
 def lll_gram(gram):

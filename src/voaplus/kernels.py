@@ -1,7 +1,8 @@
 """Short-vector enumeration kernel.
 
-Given an integer Gram matrix G, a coset representative rep = r/q and a
-rational target norm m = mn/md, enumerate every integer offset x such that
+Given an integer Gram matrix G, a coset representative rep = r/q (integer
+numerators over one denominator, as a lattice.Coset holds it) and a target
+norm m = mn/md (an int or a Fraction), enumerate every integer offset x with
 (x + rep)' G (x + rep) == m.  The search is Fincke-Pohst pruning on the
 fraction-free LDL data of G (intmat.ldl) and runs on Python ints alone, so
 it is exact whatever the size of the entries: no vector is missed and
@@ -17,7 +18,7 @@ back (the zero vector joins at norm 0); half=True hands it over as is.
 
 from math import isqrt
 
-from .intmat import ldl, scaled_integer_rows
+from .intmat import ldl
 
 
 def _enumerate(gram, q, rnum, mnum, mden, half):
@@ -78,24 +79,23 @@ def _enumerate(gram, q, rnum, mnum, mden, half):
     return out
 
 
-def enumerate_offsets(gram_rows, rep, m, half=False):
+def enumerate_offsets(gram_rows, den, nums, m, half=False):
     """All integer offsets x with (x + rep)' G (x + rep) == m, sorted lex.
 
-    gram_rows: integer Gram rows; rep: rational coordinates (int or
-    Fraction); m: rational norm (int or Fraction).  half=True needs rep = 0
-    and returns, unsorted, one vector of each pair x, -x, never the zero
+    gram_rows: integer Gram rows; rep = nums / den, nums integers and
+    den > 0; m: an int or a Fraction.  half=True needs nums = 0 and
+    returns, unsorted, one vector of each pair x, -x, never the zero
     vector; see the module docstring.
     """
-    (rnum,), q = scaled_integer_rows([rep])
-    pairs = not any(rnum)
+    pairs = not any(nums)
     if half and not pairs:
         raise ValueError("half an enumeration needs the representative 0")
-    out = _enumerate(gram_rows, q, rnum, m.numerator, m.denominator, pairs)
+    out = _enumerate(gram_rows, den, nums, m.numerator, m.denominator, pairs)
     if half:
         return out
     if pairs:
         out += [tuple(-c for c in x) for x in out]
         if m == 0:
-            out.append(tuple(rnum))
+            out.append(tuple(nums))
     out.sort()
     return out

@@ -6,10 +6,10 @@ vectors rational ones (x lies in the dual iff G x is integral).  Cosets of
 the lattice inside its dual carry a canonical representative derived from
 the Smith form of the Gram matrix, so equality of cosets is equality of
 representatives.  A Coset holds its representative as integer numerators
-over one denominator; the Fractions of its ``rep`` are made on demand only.
-The vectors of a given norm in a coset are integer rows over its
-denominator in the same way (vector_rows_of_norm); vectors_of_norm is
-their Fraction view.
+over one denominator, the form the kernel takes, and the vectors of a
+norm (an int or a Fraction) in a coset are integer rows over its
+denominator (vector_rows_of_norm).  A Coset's ``rep`` and vectors_of_norm
+are their Fraction views, made by intmat.fraction_rows.
 
 The norm-2 vectors of all order-<=2 cosets come from one enumeration.  A
 dual vector v has 2v in L exactly when w = 2v lies in
@@ -41,7 +41,6 @@ cosets (DimensionTooLarge) before it builds any of them.
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from itertools import zip_longest
 from operator import add, neg
@@ -71,7 +70,7 @@ class Coset(namedtuple("Coset", "den nums order2")):
     @property
     def rep(self):
         """The representative as a tuple of Fractions."""
-        return tuple(Fraction(x, self.den) for x in self.nums)
+        return intmat.fraction_rows((self.nums,), self.den)[0]
 
     def label(self):
         return scaled_vec_text(self.den, self.nums)
@@ -87,9 +86,8 @@ class Lattice:
             raise NotPositiveDefinite("gram matrix must be square and nonempty")
         for r in rows:
             for x in r:
-                integral = isinstance(x, int) or (
-                    isinstance(x, Fraction) and x.denominator == 1)
-                if isinstance(x, bool) or not integral:
+                # ints and whole Fractions alike have denominator 1
+                if isinstance(x, bool) or getattr(x, "denominator", 0) != 1:
                     raise NotIntegral("gram entries must be integers: %r" % (x,))
         rows = [[int(x) for x in r] for r in rows]
         for i in range(n):
@@ -282,14 +280,9 @@ def cached_on_lattice(fn):
     return cached
 
 
-def canonicalize_coset(lat, vec):
-    """Canonical Coset of an arbitrary dual vector."""
-    return lat.discriminant.coset_of(tuple(Fraction(x) for x in vec))
-
-
 @lru_cache(maxsize=None)
-def _cached_offsets(lat, rep, m):
-    return tuple(kernels.enumerate_offsets(lat.gram, rep, m))
+def _cached_offsets(lat, den, nums, m):
+    return tuple(kernels.enumerate_offsets(lat.gram, den, nums, m))
 
 
 def _torsion2_basis(lat):
@@ -360,7 +353,7 @@ def _torsion2_sweep(lat):
             return tuple(int.from_bytes(buf[i:i + nbytes], order, signed=True)
                          for i in range(0, size, nbytes))[::step]
     # half: one of each pair +-y; -w lies in the coset of w (-w = w mod 2)
-    ys = kernels.enumerate_offsets(reduced, (0,) * n, 8, True)
+    ys = kernels.enumerate_offsets(reduced, 1, (0,) * n, 8, True)
     buckets = {}
     while ys:
         y = ys.pop()    # each y is freed once mapped
@@ -410,12 +403,12 @@ def _check_tree_size(lat, m):
 def _offsets(lat, coset, m):
     """The offsets x of the vectors x + rep of norm m in the coset (None:
     L), from the coset's own cached tree, whether or not the sweep exists."""
-    rep = coset.rep if coset is not None else (0,) * lat.rank
-    m = Fraction(m)
     if m < 0:
         raise NormNegative("norm target must be >= 0")
     _check_tree_size(lat, m)
-    return _cached_offsets(lat, rep, m)
+    if coset is None:
+        return _cached_offsets(lat, 1, (0,) * lat.rank, m)
+    return _cached_offsets(lat, coset.den, coset.nums, m)
 
 
 def vector_rows_of_norm(lat, coset, m):
@@ -434,7 +427,7 @@ def vectors_of_norm(lat, coset, m):
     """Every dual vector v in the coset (a Coset, or None for L) with
     <v, v> == m, lex-sorted: vector_rows_of_norm as tuples of Fractions."""
     den, rows = vector_rows_of_norm(lat, coset, m)
-    return [tuple(Fraction(x, den) for x in row) for row in rows]
+    return intmat.fraction_rows(rows, den)
 
 
 def count_norm(lat, coset, m):

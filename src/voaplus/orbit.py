@@ -83,19 +83,19 @@ def _frame_condition(lat, rank, has_code, twist, disagree):
     """Whether lat has rank `rank` and some decomposition's code passes
     `has_code`.  On every decomposition the answer must match whether the
     structural coset named `twist` is a frame coset; if not, raises
-    CrossCheckFailed(disagree)."""
+    CrossCheckFailed(disagree).  Each distinct code is decided once: all
+    135 decompositions of lb(rm14) share one."""
     require_even(lat)
     if lat.rank != rank:
         return False
     cosets = set(frame_cosets(lat).cosets)
-    holds = False
-    for dec in decompose(lat):
-        passes = has_code(dec.code)
+    decs = decompose(lat)
+    passes = {c: has_code(c) for c in dict.fromkeys(d.code for d in decs)}
+    for dec in decs:
         marker = getattr(structural_cosets(lat, dec), twist)
-        if passes != (marker is not None and marker in cosets):
+        if passes[dec.code] != (marker is not None and marker in cosets):
             raise CrossCheckFailed(disagree)
-        holds = holds or passes
-    return holds
+    return any(passes.values())
 
 
 def condition_a(lat):

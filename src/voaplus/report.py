@@ -14,8 +14,8 @@ from collections import namedtuple
 
 from .constrb import decompose, frame_cosets
 from .errors import NotOdd, RankBoundExceeded, SplitCheckFailed
-from .lattice import (Lattice, canonicalize_coset,
-                      orthogonal_group_order, require_even, sublattice_gram)
+from .lattice import (Lattice, orthogonal_group_order, parity_key,
+                      require_even, sublattice_gram)
 from .orbit import fusion_space, module_orbit
 from . import intmat
 
@@ -165,19 +165,23 @@ def odd_split(lat, bound=None):
         raise SplitCheckFailed("the even part is odd")
     if sub.det != 4 * lat.det:
         raise SplitCheckFailed("the even part does not have index 2")
-    # 2 e_i lies in the even part iff row i of B^-1 has denominators <= 2
-    binv = intmat.invert_fraction([list(r) for r in basis])
-    for i, row in enumerate(binv):
-        if any(x.denominator > 2 for x in row):
+    # 2 e_i lies in the even part iff row i of B^-1 = adj / det, doubled,
+    # is integral
+    adj, det = intmat.adjugate(basis)
+    for i, row in enumerate(adj):
+        if any(2 * x % det for x in row):
             raise SplitCheckFailed("twice basis vector %d is not in the "
                                    "even part" % i)
     alpha_norm = intmat.dot(alpha, lat.gram_times(alpha))
     if alpha_norm % 2 != 1:
         raise SplitCheckFailed("the odd representative has norm %d"
                                % alpha_norm)
-    # alpha = e_i0, so its coordinates over the even part are row i0 of B^-1
-    alpha_sub = tuple(binv[alpha.index(1)])
-    coset = canonicalize_coset(sub, alpha_sub)
+    # alpha = e_i0 is row i0 of B^-1 over the even part; its order-2 class
+    # is named by the parity key of twice that row
+    coset = sub.discriminant.torsion2_index.get(
+        parity_key([2 * x // det for x in adj[alpha.index(1)]]))
+    if coset is None:
+        raise SplitCheckFailed("alpha is not in the even part's dual")
     rep = analyze(sub, bound)
     in_orbit = coset in rep.frame_coset_set.cosets
     total = None

@@ -120,7 +120,7 @@ def run_selftest(bound=None):
         for c in lat.discriminant.torsion2_reps:
             k = 2 // c.den      # w = 2 x + k nums, as den divides 2
             own = [tuple(2 * x + k * r for x, r in zip(off, c.nums)) for off
-                   in kernels.enumerate_offsets(lat.gram, c.rep, 2)]
+                   in kernels.enumerate_offsets(lat.gram, c.den, c.nums, 2)]
             if [r[:n] for r in signed_records(sweep[c])] != own:
                 bad.append(c.label())
         out(name + ".torsion2_routes_agree", not bad,

@@ -11,7 +11,9 @@ index it checks), structural_cosets_gram_route, which tests dual
 membership with the Gram matrix before it reads the index,
 rep_of_element, which reads the Smith form's adjugate rows, and
 single_coset_frame and sweep_offsets, which read one coset's own tree and
-the sweep's records.
+the sweep's records.  canonicalize_coset and kernel_offsets adapt rational
+vectors to the package's Smith-form route and integer kernel; golay_code
+and leech_gram build the rank-24 examples.
 """
 
 import math
@@ -22,8 +24,25 @@ from itertools import product
 from voaplus import (Frame, Lattice, StructuralCosets, extract_code,
                      extract_frame, frame_cosets, make_code, vectors_of_norm)
 from voaplus.errors import NotPositiveDefinite, RankDeficient
-from voaplus.intmat import adjugate, dot, ldl, lll_gram, same_row_lattice
+from voaplus.intmat import (adjugate, dot, hnf, ldl, lll_gram,
+                            same_row_lattice)
+from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import parity_key, signed_records
+
+
+def canonicalize_coset(lat, vec):
+    """Canonical Coset of a dual vector of ints or Fractions."""
+    return lat.discriminant.coset_of(tuple(Fraction(x) for x in vec))
+
+
+def kernel_offsets(gram, rep, m, half=False):
+    """kernels.enumerate_offsets for a representative of ints or Fractions:
+    rep is passed as integer numerators over their least common
+    denominator."""
+    rep = [Fraction(r) for r in rep]
+    den = math.lcm(*(r.denominator for r in rep))
+    nums = tuple(r.numerator * (den // r.denominator) for r in rep)
+    return enumerate_offsets(gram, den, nums, m, half)
 
 
 def naive_vectors_of_norm(gram, rep, m, box=8):
@@ -469,3 +488,59 @@ def sweep_offsets(lat):
         out[coset] = tuple(tuple((a - b) // 2 for a, b in zip(r[:n], r2))
                            for r in signed_records(recs))
     return out
+
+
+def golay_code():
+    """The extended binary Golay code [24, 12, 8]: the 12 cyclic shifts of
+    g(x) = x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1 over length 23, each
+    with a parity bit in coordinate 23."""
+    g = sum(1 << e for e in (0, 2, 4, 5, 6, 10, 11))
+    words = [g << i for i in range(12)]
+    return make_code(24, [w | (w.bit_count() & 1) << 23 for w in words])
+
+
+def leech_gram():
+    """A Gram matrix of the Leech lattice.
+
+    sqrt8 Leech is spanned by 2c for the Golay words c, 4 (e_1 + e_i),
+    8 e_1 and (-3, 1^23) (Conway-Sloane, SPLAG ch. 4, sec. 11); its HNF
+    basis B gives the Gram matrix B B' / 8.
+    """
+    n = 24
+    gens = [[2 * (w >> i & 1) for i in range(n)] for w in golay_code().basis]
+    gens += [[4 * (j in (0, i)) for j in range(n)] for i in range(1, n)]
+    gens += [[8] + [0] * (n - 1), [-3] + [1] * (n - 1)]
+    basis = hnf(gens, n)
+    return [[dot(a, b) // 8 for b in basis] for a in basis]
+
+
+def is_isometric(gram_a, gram_b):
+    """True iff the two Gram matrices describe isometric lattices.
+
+    Brute force: images of the basis of A are sought, one at a time,
+    among the vectors of B of the same norm (box
+    enumeration, the box from Cauchy-Schwarz: |x_j|^2 <= N (G_B^-1)_jj),
+    keeping the Gram matrix; with equal determinants a Gram-preserving
+    image of the basis spans all of B.
+    """
+    n = len(gram_a)
+    if n != len(gram_b) or det_bareiss(gram_a) != det_bareiss(gram_b):
+        return False
+    adj, det = adjugate(gram_b)
+
+    def vectors(m):
+        box = max(math.isqrt(m * adj[j][j] // det) for j in range(n))
+        return [v for v in product(range(-box, box + 1), repeat=n)
+                if dot(v, [dot(row, v) for row in gram_b]) == m]
+
+    cands = [vectors(gram_a[i][i]) for i in range(n)]
+
+    def extend(images):
+        k = len(images)
+        if k == n:
+            return True
+        return any(extend(images + [v]) for v in cands[k]
+                   if all(dot(u, [dot(row, v) for row in gram_b])
+                          == gram_a[j][k] for j, u in enumerate(images)))
+
+    return extend([])

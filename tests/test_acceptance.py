@@ -10,13 +10,14 @@ import time
 
 import pytest
 
-from helpers import doubly_even_sample, naive_vectors_of_norm
-from voaplus import (CATALOG, analyze, build_construction_b,
-                     canonicalize_coset, count_norm, decompose, extract_code,
-                     extract_frame, frame_cosets, hamming8, odd_split,
-                     parse_spec, repetition_code, rm14, structural_cosets,
-                     twisted_character_count, twisted_character_count_mod2,
-                     vectors_of_norm, words_of_weight)
+from helpers import (canonicalize_coset, doubly_even_sample,
+                     naive_vectors_of_norm)
+from voaplus import (CATALOG, analyze, build_construction_b, count_norm,
+                     decompose, extract_code, extract_frame, frame_cosets,
+                     hamming8, odd_split, parse_spec, repetition_code, rm14,
+                     structural_cosets, twisted_character_count,
+                     twisted_character_count_mod2, vectors_of_norm,
+                     words_of_weight)
 
 
 def _report(num, ok, desc):

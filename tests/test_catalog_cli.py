@@ -660,7 +660,7 @@ def test_cli_selftest_json(monkeypatch, capsys):
 def test_canonicalize_rejects_non_dual():
     from fractions import Fraction
 
-    from voaplus import canonicalize_coset
+    from helpers import canonicalize_coset
     from voaplus.errors import NotDualVector
     with pytest.raises(NotDualVector):
         canonicalize_coset(parse_spec("A2"), (Fraction(1, 2), Fraction(0)))
@@ -718,12 +718,41 @@ def test_import_leaves_heavy_stdlib_modules_out(module):
     # value types are namedtuples: importing dataclasses would pull in
     # inspect, ast, dis and tokenize, about 30 ms of every cold CLI run.
     # -S keeps the interpreter's own site hooks out of the picture.
-    # json is read only for a file argument
+    # json is read only for a file argument, fractions (which loads
+    # decimal) only by the Fraction views and shortvec's rational arguments
     guarded = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
-               "json")
+               "json", "fractions", "decimal")
     code = ("import sys, %s; print(' '.join(m for m in %r if m in sys.modules))"
             % (module, guarded))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+# runs cli.main on the arguments after -c, then prints its exit code and
+# whether fractions was loaded, on stderr after the command's output
+RUN_MAIN = ("import sys; from voaplus import cli; "
+            "code = cli.main(sys.argv[1:]); "
+            "print(code, 'fractions' in sys.modules, file=sys.stderr)")
+WITHOUT_FRACTIONS = (
+    [(["analyze", e.constructor, "--format", "json"], None)
+     for e in CATALOG if e.kind == "lattice"]
+    + [(["analyze", "sqrt2*A6", "--format", "json"], "6"),
+       (["odd", "Z1"], None), (["odd", "Z2"], None),
+       (["rl", "lb(rep(8))"], None), (["decompose", "lb(rep(8))"], None),
+       (["orbit", "lb(rep(8))"], None), (["selftest"], None)])
+
+
+@pytest.mark.parametrize("argv,bound", WITHOUT_FRACTIONS,
+                         ids=[" ".join(a) for a, _ in WITHOUT_FRACTIONS])
+def test_commands_run_without_fractions(argv, bound):
+    # only shortvec reads a rational, so no other command loads fractions
+    # (nor the decimal it imports); sqrt2*A6 runs the isometry search
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("VOAPLUS_RANK_BOUND", None)
+    if bound is not None:
+        env["VOAPLUS_RANK_BOUND"] = bound
+    done = subprocess.run([sys.executable, "-S", "-c", RUN_MAIN] + argv,
+                          env=env, capture_output=True, text=True)
+    assert done.stderr.split() == ["0", "False"], done.stderr

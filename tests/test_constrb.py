@@ -8,17 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_force_lexmin_f2, construction_b_generators,
-                     doubly_even_sample, inner, is_construction_b, norm,
-                     random_doubly_even_code, random_posdef_gram,
-                     random_unimodular_conjugate, rebuild_spans_lattice,
-                     same_lattice, single_coset_frame,
+from helpers import (brute_force_lexmin_f2, canonicalize_coset,
+                     construction_b_generators, doubly_even_sample, inner,
+                     is_construction_b, norm, random_doubly_even_code,
+                     random_posdef_gram, random_unimodular_conjugate,
+                     rebuild_spans_lattice, same_lattice, single_coset_frame,
                      structural_cosets_gram_route, structural_cosets_oracle)
-from voaplus import (Lattice, build_construction_b, canonicalize_coset,
-                     count_norm, decompose, extract_code, extract_frame,
-                     frame_cosets, hamming8, intmat, make_code, parse_spec,
-                     repetition_code, rm14, structural_cosets,
-                     words_of_weight, zero_code)
+from voaplus import (Lattice, build_construction_b, count_norm, decompose,
+                     extract_code, extract_frame, frame_cosets, hamming8,
+                     intmat, make_code, parse_spec, repetition_code, rm14,
+                     structural_cosets, words_of_weight, zero_code)
 from voaplus.codes import word_from_support
 from voaplus.constrb import (FrameDecomposition, _check_rebuild,
                              _lexmin_f2_solution, _mod8_lanes,

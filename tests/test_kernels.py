@@ -7,18 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (det_bareiss, dual_gram, naive_vectors_of_norm,
+from helpers import (canonicalize_coset, det_bareiss, dual_gram,
+                     kernel_offsets, naive_vectors_of_norm,
                      random_posdef_gram)
 from voaplus import Lattice, vectors_of_norm
 from voaplus.errors import NotPositiveDefinite
 from voaplus.intmat import dot, ldl
-from voaplus.kernels import enumerate_offsets
 
 
 def core_vectors(gram, rep, m):
     """The kernel's offsets turned into the vectors x + rep."""
     return [tuple(x + r for x, r in zip(off, rep))
-            for off in enumerate_offsets(gram, rep, m)]
+            for off in kernel_offsets(gram, rep, m)]
 
 
 def test_ldl_reconstructs_gram():
@@ -71,8 +71,8 @@ def test_offsets_survive_skewed_basis(seed, n):
     zero = (Fraction(0),) * n
     for m in (Fraction(2), Fraction(4)):
         mapped = sorted(tuple(dot(row, xs) for row in u)
-                        for xs in enumerate_offsets(skewed, zero, m))
-        assert mapped == enumerate_offsets(gram, zero, m)
+                        for xs in kernel_offsets(skewed, zero, m))
+        assert mapped == kernel_offsets(gram, zero, m)
 
 
 def test_int64_guard_reroutes_to_bigint():
@@ -81,7 +81,7 @@ def test_int64_guard_reroutes_to_bigint():
     big = 2 ** 31
     gram = [[2 * big, 0], [0, 2 * big]]
     rep = [Fraction(0), Fraction(0)]
-    got = enumerate_offsets(gram, rep, Fraction(2 * big))
+    got = kernel_offsets(gram, rep, Fraction(2 * big))
     assert sorted(got) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
@@ -98,7 +98,6 @@ def test_fractional_norm_targets():
     # dual vectors of A2 have norms in (1/3)Z
     coset = lat.discriminant.torsion2_reps[0]
     assert vectors_of_norm(lat, coset, Fraction(1, 3)) == []
-    from voaplus import canonicalize_coset
     third = canonicalize_coset(lat, (Fraction(2, 3), Fraction(-1, 3)))
     vs = vectors_of_norm(lat, third, Fraction(2, 3))
     assert vs == naive_vectors_of_norm(lat.gram, third.rep, Fraction(2, 3))
@@ -146,8 +145,8 @@ def test_representative_zero_walks_half_of_each_pair(seed, n):
     assume(gram is not None)
     dual = dual_gram(Lattice(gram))
     zero = (0,) * n
-    assert enumerate_offsets(gram, zero, Fraction(0)) == [zero]
-    assert enumerate_offsets(gram, zero, 0, half=True) == []
+    assert kernel_offsets(gram, zero, Fraction(0)) == [zero]
+    assert kernel_offsets(gram, zero, 0, half=True) == []
     checked = 0
     for m in range(7):
         # |x_i| <= sqrt(m (G^-1)_ii) holds every vector; small boxes only
@@ -156,8 +155,8 @@ def test_representative_zero_walks_half_of_each_pair(seed, n):
             continue
         want = [tuple(int(c) for c in v)
                 for v in naive_vectors_of_norm(gram, zero, m, box=box)]
-        assert enumerate_offsets(gram, zero, Fraction(m)) == want, m
-        half = enumerate_offsets(gram, zero, m, half=True)
+        assert kernel_offsets(gram, zero, Fraction(m)) == want, m
+        half = kernel_offsets(gram, zero, m, half=True)
         # the half keeps the vector whose last nonzero coordinate is > 0
         assert all([c for c in x if c][-1] > 0 for x in half)
         mirrored = half + [tuple(-c for c in x) for x in half]
@@ -168,4 +167,4 @@ def test_representative_zero_walks_half_of_each_pair(seed, n):
 
 def test_half_enumeration_needs_representative_zero():
     with pytest.raises(ValueError):
-        enumerate_offsets([[4]], (Fraction(1, 2),), 1, half=True)
+        kernel_offsets([[4]], (Fraction(1, 2),), 1, half=True)

@@ -7,19 +7,17 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (det_bareiss, dual_gram, is_odd,
-                     leaf_count_isometry_order, list_isometry_order,
-                     naive_isometry_order,
+from helpers import (canonicalize_coset, det_bareiss, dual_gram, is_odd,
+                     kernel_offsets, leaf_count_isometry_order,
+                     list_isometry_order, naive_isometry_order,
                      naive_vectors_of_norm, random_posdef_gram,
                      random_unimodular_conjugate, rep_of_element,
                      same_lattice, sweep_offsets, vec_json, vec_text)
-from voaplus import (Lattice, canonicalize_coset, count_norm, direct_sum,
-                     orthogonal_group_order, parse_spec, rescale,
-                     vectors_of_norm)
+from voaplus import (Lattice, count_norm, direct_sum, orthogonal_group_order,
+                     parse_spec, rescale, vectors_of_norm)
 from voaplus.errors import (DimensionTooLarge, NormNegative, NotIntegral,
                             NotPositiveDefinite, NotSymmetric,
                             RankBoundExceeded)
-from voaplus.kernels import enumerate_offsets
 from voaplus.lattice import _cached_offsets, _torsion2_basis
 from voaplus.serialize import coset_json
 
@@ -148,7 +146,7 @@ def test_enumeration_backends_agree():
     # norm 2 is empty in this coset; norms 1 and 3 are not
     for m in (Fraction(2), Fraction(1), Fraction(3)):
         core = [tuple(x + r for x, r in zip(off, rep))
-                for off in enumerate_offsets(lat.gram, rep, m)]
+                for off in kernel_offsets(lat.gram, rep, m)]
         assert core == naive_vectors_of_norm(lat.gram, rep, m)
         assert vectors_of_norm(lat, coset, m) == core
         found += len(core)
@@ -172,7 +170,7 @@ def test_torsion2_sweep_matches_per_coset_enumeration(seed, n, even):
         cosets = lat.discriminant.torsion2_reps
         assert sorted(sweep) == sorted(cosets)
         for coset in cosets:
-            want = tuple(enumerate_offsets(g, coset.rep, Fraction(2)))
+            want = tuple(kernel_offsets(g, coset.rep, Fraction(2)))
             assert sweep[coset] == want, (g, coset)
             assert count_norm(lat, coset, 2) == len(want)
 
@@ -189,7 +187,7 @@ def test_torsion2_sweep_buckets_match_own_trees_on_lb_rep8(steps):
     assert len(cosets) == 256
     assert sorted(sweep) == sorted(cosets)
     for coset in cosets:
-        own = _cached_offsets(lat, coset.rep, Fraction(2))
+        own = _cached_offsets(lat, coset.den, coset.nums, Fraction(2))
         assert sweep[coset] == own, coset
 
 
@@ -199,7 +197,7 @@ def test_vectors_of_norm_on_a_swept_lattice_lists_the_own_tree():
     lat = parse_spec("lb(rep(8))")
     sweep = sweep_offsets(lat)
     for coset in lat.discriminant.torsion2_reps[::17]:
-        own = _cached_offsets(lat, coset.rep, Fraction(2))
+        own = _cached_offsets(lat, coset.den, coset.nums, Fraction(2))
         want = [tuple(x + r for x, r in zip(off, coset.rep)) for off in own]
         assert vectors_of_norm(lat, coset, 2) == want
         assert own == sweep[coset]

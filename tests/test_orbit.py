@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import mat_mul, random_posdef_gram, random_unimodular_conjugate
 from voaplus import (Lattice, build_construction_b, condition_a, condition_b,
-                     condition_c, fusion_space, module_orbit, parse_spec,
-                     repetition_code, rm14, rm14_subcode,
-                     twisted_character_count,
-                     twisted_character_count_mod2, zero_code)
+                     condition_c, decompose, fusion_space, module_orbit,
+                     parse_spec, repetition_code, rm14, rm14_subcode,
+                     twisted_character_count, twisted_character_count_mod2,
+                     zero_code)
 from voaplus.errors import ConditionABC, NotEven
 
 
@@ -102,13 +102,21 @@ def test_condition_a_on_root_full_lattice():
     assert condition_a(parse_spec("D8")) is True
 
 
-def test_condition_b_searches_each_code_once():
+def test_condition_b_searches_each_code_once(monkeypatch):
     # the 135 decompositions of lb(rm14) share one code: one RM(1,4)
-    # search, 134 lookups
-    rm14_subcode.cache_clear()
-    assert condition_b(parse_spec("lb(rm14)")) is True
-    info = rm14_subcode.cache_info()
-    assert (info.misses, info.hits) == (1, 134)
+    # search, decided once for all of them
+    import voaplus.orbit as orbit
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return rm14_subcode(code)
+
+    monkeypatch.setattr(orbit, "rm14_subcode", counting)
+    lat = parse_spec("lb(rm14)")
+    assert condition_b(lat) is True
+    assert len(decompose(lat)) == 135
+    assert len(calls) == 1
 
 
 # Drops both markers from every structural coset, so the coset side of the
