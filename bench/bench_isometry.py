@@ -3,11 +3,11 @@
 
 Counts |O(L)| for the five rootless lattices of the benchmark's isometry
 workload, for sqrt2*E8 and for A1+A1 in a skewed basis, and, with
-``--max-rank 16``, for D16, E8+E8, Gamma16 and lb(rm14), each with the rank
-bound set to its rank, and prints each case's best time over ``--repeat``
-runs next to |O(L)|.  The short-vector cache is cleared before every run,
-so a time includes the enumeration of the candidate images.  Exits with
-status 1 if any order differs from the case's known value.
+``--max-rank 16``, for D16, E8+E8, Gamma16 and lb(rm14), and prints each
+case's best time over ``--repeat`` runs next to |O(L)|.  The short-vector
+cache is cleared before every run, so a time includes the enumeration of
+the candidate images.  Exits with status 1 if any order differs from the
+case's known value.
 
 Usage: PYTHONPATH=src python bench/bench_isometry.py [--repeat N] [--max-rank R]
 """
@@ -56,7 +56,7 @@ def main():
         for _ in range(args.repeat):
             lattice._cached_offsets.cache_clear()
             t0 = time.perf_counter()
-            order = lattice.orthogonal_group_order(lat, lat.rank)
+            order = lattice.orthogonal_group_order(lat)
             best = min(best, time.perf_counter() - t0)
         print("%-16s %4d %10.4f %12d" % (name, lat.rank, best, order),
               flush=True)

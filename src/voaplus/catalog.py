@@ -22,7 +22,7 @@ from collections import namedtuple
 from . import intmat
 from .codes import BinaryCode, hamming8, make_code, repetition_code, rm14, zero_code
 from .constrb import _construction_b
-from .errors import ParseError, UnknownName
+from .errors import ParseError, UnknownName, quoted
 from .lattice import Lattice, direct_sum, rescale
 
 # Largest size argument of A<n>, D<n>, Z<n>, zero(n), rep(n), code(n, ...),
@@ -149,7 +149,7 @@ def _atom_from_word(word, pos):
         n = _size(m.group(1), pos)
         return Lattice([[1 if i == j else 0 for j in range(n)]
                              for i in range(n)])
-    raise UnknownName("unknown name %r" % word, position=pos)
+    raise UnknownName("unknown name %s" % quoted(word), position=pos)
 
 
 class _Parser:
@@ -256,7 +256,8 @@ class _Parser:
                 raise ParseError("lb(...) needs a code", position=pos)
             return _construction_b(inner)[0]
         if call:
-            raise ParseError("%r is not a constructor" % word, position=pos)
+            raise ParseError("%s is not a constructor" % quoted(word),
+                             position=pos)
         return _atom_from_word(word, pos)
 
     def int_call(self):
@@ -336,10 +337,6 @@ def lattice_from_file(path):
                 and all(isinstance(row, list) for row in gram)):
             raise ParseError("'gram' must be a list of integer lists")
         _check_rank(len(gram))
-        # an entry that is a list or an object would reach Lattice's
-        # error message, and a deep one its repr
-        if any(isinstance(x, (list, dict)) for row in gram for x in row):
-            raise ParseError("'gram' must be a list of integer lists")
         return Lattice(gram)
     if "length" in doc:
         length, gens = doc["length"], doc.get("generators", [])

@@ -6,9 +6,9 @@ to a JSON document with a "gram" (lattice) or "length"/"generators" (code)
 field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
 assertion failure, 141 (the shell's status for SIGPIPE) when the reader of
 stdout closes it early, with nothing on stderr.  VOAPLUS_RANK_BOUND, a
-non-negative integer, overrides the rank bound of the isometry-group count
-(default 4); any other value is bad input, as is a rational argument
-with an exponent above 4300 in magnitude (int()'s digit limit).
+non-negative integer, is the rank up to which report searches for |O(L)|
+(default 4); any other value is bad input, as is a rational argument with
+an exponent above 4300 in magnitude (int()'s digit limit).
 
 The ``voaplus`` command and ``python -m voaplus`` run ``entry``: it calls
 ``main``, flushes stdout and stderr and ends the process with os._exit, so
@@ -27,7 +27,7 @@ from .catalog import lattice_from_file, parse_spec
 from .codes import BinaryCode
 from .constrb import decompose, frame_cosets
 from .errors import (InputError, InternalCheckError, ParseError,
-                     PreconditionError)
+                     PreconditionError, quoted)
 from .lattice import vector_rows_of_norm
 from .orbit import module_orbit
 from .report import analyze, odd_split
@@ -46,7 +46,7 @@ def rank_bound():
     except ValueError:
         pass
     raise ParseError("VOAPLUS_RANK_BOUND must be a non-negative integer, "
-                     "got %r" % raw)
+                     "got %s" % quoted(raw))
 
 
 def load_spec(text):

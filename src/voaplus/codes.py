@@ -39,6 +39,20 @@ def _rref(words):
     return tuple(basis)
 
 
+def _f2_rank(rows):
+    """Rank over F_2 of bit-packed rows: each kept row is reduced by the
+    kept rows and keyed by its lowest set bit."""
+    pivots = {}
+    for w in rows:
+        while w:
+            low = w & -w
+            if low not in pivots:
+                pivots[low] = w
+                break
+            w ^= pivots[low]
+    return len(pivots)
+
+
 def _word_sort_key(n):
     # canonical order: lexicographic on the coordinate string, coordinate 1
     # first; that is the numeric order of the words with their n bits reversed
@@ -122,7 +136,8 @@ def word_from_string(s):
         if ch == "1":
             w |= 1 << i
         elif ch != "0":
-            raise LengthMismatch("codeword strings must be over {0,1}: %r" % s)
+            raise LengthMismatch("codeword string of length %d is not over "
+                                 "{0,1} at position %d" % (len(s), i))
     return w
 
 
@@ -138,8 +153,9 @@ def make_code(n, generators):
 
     Generators may be bit-packed ints, 0/1 strings, or 0/1 lists or
     tuples; anything else (a float, None, a bool) raises ParseError.  An
-    error names the generator by its index, type and length, never by its
-    value, which may be arbitrarily long or deep.
+    error names the generator by its index, type and length (a string by
+    its length and first bad position), never by its value, which may be
+    arbitrarily long or deep.
     """
     if n <= 0:
         raise LengthMismatch("code length must be positive")
@@ -154,10 +170,9 @@ def make_code(n, generators):
         elif len(g) != n:
             raise LengthMismatch("generator %d (a %s) has length %d, "
                                  "expected %d" % (k, kind, len(g), n))
-        elif isinstance(g, str) and set(g) <= {"0", "1"}:
+        elif isinstance(g, str):
             w = word_from_string(g)
-        elif not isinstance(g, str) and all(
-                isinstance(b, int) and not isinstance(b, bool)
+        elif all(isinstance(b, int) and not isinstance(b, bool)
                 and b in (0, 1) for b in g):
             w = word_from_support(i for i, b in enumerate(g) if b)
         else:

@@ -64,7 +64,7 @@ from itertools import chain
 from operator import neg
 
 from . import intmat
-from .codes import _rref, make_code
+from .codes import _f2_rank, _rref, make_code
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
 from .lattice import Lattice, cached_on_lattice, parity_key, require_even
@@ -257,20 +257,6 @@ def _pairing_columns(rows, pairings):
     for p in pairings[-2::-1]:
         cols = [(c << width) + g for c, g in zip(cols, p)]
     return width, cols
-
-
-def _f2_rank(rows):
-    """Rank over F_2 of bit-packed rows: each kept row is reduced by the
-    kept rows and keyed by its lowest set bit."""
-    pivots = {}
-    for w in rows:
-        while w:
-            low = w & -w
-            if low not in pivots:
-                pivots[low] = w
-                break
-            w ^= pivots[low]
-    return len(pivots)
 
 
 def _support(word, n):

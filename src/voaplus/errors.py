@@ -15,6 +15,14 @@ class VoaplusError(Exception):
     pass
 
 
+def quoted(text):
+    """text quoted for an error message: past 32 characters, only its start
+    and its length, so that no message echoes a long input."""
+    if len(text) <= 32:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:32], len(text))
+
+
 class InputError(VoaplusError):
     pass
 
@@ -60,10 +68,6 @@ class UnknownName(ParseError):
 # -- operation preconditions --------------------------------------------
 
 class NormNegative(PreconditionError):
-    pass
-
-
-class RankBoundExceeded(PreconditionError):
     pass
 
 

@@ -47,11 +47,9 @@ from operator import add, neg
 
 from . import intmat, kernels
 from .errors import (DimensionTooLarge, NormNegative, NotDualVector, NotEven,
-                     NotIntegral, NotPositiveDefinite, NotSymmetric,
-                     RankBoundExceeded)
+                     NotIntegral, NotPositiveDefinite, NotSymmetric)
 from .serialize import scaled_vec_text
 
-DEFAULT_RANK_BOUND = 4
 # at most 2^16 order-<=2 cosets: every lattice of rank <= 16 (a cold
 # analyze of lb(zero(16)) takes about 9 s on a 2-core machine)
 TORSION2_LIMIT = 16
@@ -84,11 +82,12 @@ class Lattice:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise NotPositiveDefinite("gram matrix must be square and nonempty")
-        for r in rows:
-            for x in r:
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
                 # ints and whole Fractions alike have denominator 1
                 if isinstance(x, bool) or getattr(x, "denominator", 0) != 1:
-                    raise NotIntegral("gram entries must be integers: %r" % (x,))
+                    raise NotIntegral("gram[%d][%d] is a %s, not an integer"
+                                      % (i, j, type(x).__name__))
         rows = [[int(x) for x in r] for r in rows]
         for i in range(n):
             for j in range(i + 1, n):
@@ -447,7 +446,7 @@ def count_norm(lat, coset, m):
     return len(_offsets(lat, coset, m))
 
 
-def orthogonal_group_order(lat, bound=None):
+def orthogonal_group_order(lat):
     """Order of the isometry group O(L) as a product of orbit lengths.
 
     Basis vectors are taken in order o_0, o_1, ... (fewest candidate images
@@ -456,8 +455,8 @@ def orthogonal_group_order(lat, bound=None):
     |O(L)| = prod_t |H_t b_{o_t}|, and v lies in that orbit iff the images
     (b_{o_0}, ..., b_{o_{t-1}}, v) extend to a Gram-preserving assignment of
     the whole basis (an isometry onto L: same Gram matrix, so index 1).
-    Refuses ranks above ``bound`` (default 4): the extension search is
-    exponential in principle.
+    Searches at every rank, though the extension search is exponential in
+    principle; report decides which ranks are worth it.
 
     The candidates of each norm are one list, packed by columns
     (_packed_candidates), and the candidates left for b_{o_k} are a bitmask
@@ -465,11 +464,7 @@ def orthogonal_group_order(lat, bound=None):
     the u with <u, v> = p takes one product sum for all the u of a norm
     and a few operations on whole ints (narrow).
     """
-    bound = DEFAULT_RANK_BOUND if bound is None else bound
     n = lat.rank
-    if n > bound:
-        raise RankBoundExceeded(
-            "rank %d exceeds the isometry search bound %d" % (n, bound))
     # |O(L)| does not depend on the basis: search in an LLL-reduced one
     lat = Lattice(intmat.lll_gram(lat.gram)[0])
     g = lat.gram

@@ -18,7 +18,7 @@ factors of the Gram matrix).
 
 from collections import namedtuple
 
-from .codes import _rref, rm14_subcode
+from .codes import _f2_rank, rm14_subcode
 from .constrb import decompose, frame_cosets, structural_cosets
 from .errors import ConditionABC, CrossCheckFailed, NotPowerOfTwo
 from .lattice import require_even
@@ -76,7 +76,7 @@ def twisted_character_count_mod2(lat):
     """
     require_even(lat)
     rows = [sum(1 << j for j, x in enumerate(r) if x % 2) for r in lat.gram]
-    return 2 ** (lat.rank - len(_rref(rows)))
+    return 2 ** (lat.rank - _f2_rank(rows))
 
 
 def _frame_condition(lat, rank, has_code, twist, disagree):

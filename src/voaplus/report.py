@@ -3,22 +3,27 @@
 The stabilizer of the distinguished module class has index equal to the
 orbit size, so the full automorphism-group order of the fixed-point
 algebra is (stabilizer order) x (orbit size) whenever the stabilizer order
-itself is known.  For rootless even lattices within the isometry-search
-rank bound that order is 2^(n-1) |O(L)| -- a derived formula, validated
-against the two worked rank-<=2 cases and recorded as derived in every
-report that uses it.  Lattices with roots get no order claim at all: the
-stabilizer then contains continuous factors this tool does not model.
+itself is known.  For rootless even lattices that order is 2^(n-1) |O(L)|
+-- a derived formula, validated against the two worked rank-<=2 cases and
+recorded as derived in every report that uses it.  Lattices with roots get
+no order claim at all: the stabilizer then contains continuous factors
+this tool does not model.
+
+The search for |O(L)| is exponential in principle, so this module alone
+decides when to run it: up to rank ``bound`` (DEFAULT_RANK_BOUND unless
+given).  Above it a report has no isometry order, reason "rank bound".
 """
 
 from collections import namedtuple
 
 from .constrb import decompose, frame_cosets
-from .errors import NotOdd, RankBoundExceeded, SplitCheckFailed
+from .errors import NotOdd, SplitCheckFailed
 from .lattice import (Lattice, orthogonal_group_order, parity_key,
                       require_even, sublattice_gram)
 from .orbit import fusion_space, module_orbit
 from . import intmat
 
+DEFAULT_RANK_BOUND = 4
 NOTE_STABILIZER = ("stabilizer order for rootless lattices uses the derived "
                    "formula 2^(rank-1) * |O(L)|")
 NOTE_TWISTED = ("twisted class multiplicities use the derived index "
@@ -32,9 +37,9 @@ class AutReport(namedtuple("AutReport", (
         "stabilizer_reason aut_order exceeds_stabilizer notes"))):
     """fusion: a FusionSpace, None when a structural condition holds;
     index_over_stabilizer equals orbit_size (orbit-stabilizer);
-    isometry_order: |O(L)|, None above the rank bound; stabilizer_order:
-    None, with stabilizer_reason, when unavailable; aut_order: None when
-    stabilizer_order is."""
+    isometry_order: |O(L)|, None above the rank bound (not searched for);
+    stabilizer_order: None, with stabilizer_reason, when unavailable;
+    aut_order: None when stabilizer_order is."""
     __slots__ = ()
 
     @property
@@ -51,11 +56,10 @@ class AutReport(namedtuple("AutReport", (
 
 
 def _isometry_order(lat, bound):
-    """|O(L)|, or None above the isometry-search rank bound."""
-    try:
-        return orthogonal_group_order(lat, bound)
-    except RankBoundExceeded:
+    """|O(L)|, or None, without a search, above the rank bound."""
+    if lat.rank > (DEFAULT_RANK_BOUND if bound is None else bound):
         return None
+    return orthogonal_group_order(lat)
 
 
 def _stabilizer_from_isometry(lat, isometry):
@@ -155,8 +159,8 @@ def even_sublattice(lat):
 def odd_split(lat, bound=None):
     """Report on an odd lattice through its even sublattice.
 
-    Verifies the split structurally (even part of index 2, doubled vectors
-    inside it, integral odd norm), runs the even pipeline on the even part
+    Verifies the split structurally (even part of index 2, hence doubled
+    vectors inside it; odd norm), runs the even pipeline on the even part
     and, when the odd representative's class lies in the orbit and the even
     order is known, reports 2 * aut(even) / orbit as the total order.
     """
@@ -165,13 +169,9 @@ def odd_split(lat, bound=None):
         raise SplitCheckFailed("the even part is odd")
     if sub.det != 4 * lat.det:
         raise SplitCheckFailed("the even part does not have index 2")
-    # 2 e_i lies in the even part iff row i of B^-1 = adj / det, doubled,
-    # is integral
+    # index 2 puts 2L inside the even part: twice each row of B^-1 =
+    # adj / det is integral, so no separate check is needed
     adj, det = intmat.adjugate(basis)
-    for i, row in enumerate(adj):
-        if any(2 * x % det for x in row):
-            raise SplitCheckFailed("twice basis vector %d is not in the "
-                                   "even part" % i)
     alpha_norm = intmat.dot(alpha, lat.gram_times(alpha))
     if alpha_norm % 2 != 1:
         raise SplitCheckFailed("the odd representative has norm %d"

@@ -466,20 +466,43 @@ def test_cli_input_file_wrong_entry_types(tmp_path, capsys, doc):
         assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [
-    '{"length": 1, "generators": [' + "[" * 900 + "1" + "]" * 900 + "]}",
-    json.dumps({"length": 4, "generators": ["1" * 10 ** 5]}),
-    json.dumps({"length": 10 ** 5, "generators": ["1" * 99999 + "2"]})],
+@pytest.mark.parametrize("doc, start", [
+    ('{"length": 1, "generators": [' + "[" * 900 + "1" + "]" * 900 + "]}",
+     "generator 0 (a list of length 1)"),
+    (json.dumps({"length": 4, "generators": ["1" * 10 ** 5]}),
+     "generator 0 (a str) has length 100000"),
+    (json.dumps({"length": 10 ** 5, "generators": ["1" * 99999 + "2"]}),
+     "codeword string of length 100000 is not over {0,1} at position 99999")],
     ids=["nested 900 deep", "10^5 characters", "10^5 characters, a 2"])
-def test_cli_code_errors_do_not_echo_the_generator(tmp_path, capsys, doc):
+def test_cli_code_errors_do_not_echo_the_generator(tmp_path, capsys, doc,
+                                                   start):
     # the messages once held the whole generator: 1.8 KB for the nested
     # one, 100 KB for the long ones
     path = tmp_path / "code.json"
     path.write_text(doc, encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: generator")
+    assert err.startswith("input error: " + start)
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("site", [
+    "gram entry", "unknown name", "constructor", "rank bound"])
+def test_error_messages_do_not_echo_long_input(tmp_path, monkeypatch, capsys,
+                                               site):
+    # each message once held the whole value: 200 047 bytes on stderr for
+    # the gram entry, about 100 KB for the names, 50 KB for the variable
+    spec = {"unknown name": "Q" * 10 ** 5,
+            "constructor": "Q" * 10 ** 5 + "(1)"}.get(site, "A1")
+    if site == "gram entry":
+        spec = str(tmp_path / "gram.json")
+        Path(spec).write_text(json.dumps({"gram": [["9" * 2 * 10 ** 5]]}))
+    if site == "rank bound":
+        monkeypatch.setenv("VOAPLUS_RANK_BOUND", "x" * 5 * 10 ** 4)
+    assert main(["analyze", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert len(err.encode()) < 200 and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("option, value", [

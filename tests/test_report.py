@@ -24,6 +24,27 @@ def test_stabilizer_order_worked_cases():
     assert order is None and reason == "rank bound"
 
 
+def test_catalog_searches_only_within_the_rank_bound(monkeypatch):
+    # the search used to be called for every entry and raise above rank 4:
+    # 20 calls over the catalog, 8 of them only to raise
+    import voaplus.report as report
+    real = report.orthogonal_group_order
+    ranks = []
+
+    def counted(lat, *args):
+        ranks.append(lat.rank)
+        return real(lat, *args)
+
+    monkeypatch.setattr(report, "orthogonal_group_order", counted)
+    for entry in CATALOG:
+        if entry.kind == "lattice":
+            analyze(entry.build())
+        elif entry.kind == "odd":
+            odd_split(entry.build())
+    assert len(ranks) == 12
+    assert max(ranks) <= report.DEFAULT_RANK_BOUND == 4
+
+
 def test_aut_orders_worked_cases():
     assert analyze(Lattice([[8]])).aut_order == 6       # S3
     assert analyze(Lattice([[4, 0], [0, 4]])).aut_order == 48   # S4 x Z2
