@@ -4,7 +4,11 @@
 Runs ``decompose`` and then ``module_orbit`` -- the torsion-2 sweep, one
 frame, code and rebuild check per qualifying coset, the structural cosets
 of the orbit conditions -- on a freshly parsed lattice, and prints each
-case's best time over ``--repeat`` runs.  Then, in one more run, counts
+case's best time over ``--repeat`` runs, and the median split of one
+report over its stages (``stage_split``): the sweep's kernel call, the rest
+of the sweep (with ``frame_cosets``), the frames, the codes with their
+rebuild checks, the orbit (``module_orbit``), the JSON document and
+``dumps``.  Then, in one more run, counts
 the work of a whole report as deterministic numbers: ``parse_spec`` of the
 lattice, ``analyze`` and its JSON (``serialize.aut_report_json`` and
 ``serialize.dumps``), with its calls of the enumeration kernel
@@ -25,12 +29,14 @@ Usage: PYTHONPATH=src python bench/bench_decompose.py [--repeat N]
 import argparse
 import cProfile
 import pstats
+import statistics
 import sys
 import time
 from fractions import Fraction
 
 from voaplus import intmat, kernels, lattice, parse_spec, serialize
-from voaplus.constrb import decompose
+from voaplus.constrb import (decompose, extract_code, extract_frame,
+                             frame_cosets)
 from voaplus.orbit import module_orbit
 from voaplus.report import analyze, odd_split
 
@@ -39,6 +45,8 @@ CASES = [
     ("lb(rm14)", 135),
     ("lb(rep(8))", 135),
 ]
+STAGES = ("sweep kernel", "sweep rest", "frames", "codes", "orbit",
+          "JSON doc", "dumps")
 COUNTS = ("kernel", "gram_times", "dot", "Fractions", "hashed")
 # lattices glued from D_n with a half vector, counted like the cases
 GLUED = ("E8", "Gamma16")
@@ -58,6 +66,58 @@ def run(lat):
     decs = decompose(lat)
     module_orbit(lat)
     return time.perf_counter() - t0, len(decs)
+
+
+def stages(spec):
+    """{stage: seconds} of one report of the lattice spec, parsed afresh;
+    the parse and the rest of analyze (Smith form, fusion) are not timed."""
+    lattice._cached_offsets.cache_clear()
+    lat = parse_spec(spec)
+    kernel = [0.0]
+    enumerate_offsets = kernels.enumerate_offsets
+
+    def timed(*args):
+        t = time.perf_counter()
+        try:
+            return enumerate_offsets(*args)
+        finally:
+            kernel[0] += time.perf_counter() - t
+
+    split = {}
+    kernels.enumerate_offsets = timed
+    try:
+        t0 = time.perf_counter()
+        cosets = frame_cosets(lat).cosets
+        t1 = time.perf_counter()
+    finally:
+        kernels.enumerate_offsets = enumerate_offsets
+    split["sweep kernel"] = kernel[0]
+    split["sweep rest"] = t1 - t0 - kernel[0]
+    frames = [extract_frame(lat, c) for c in cosets]
+    t2 = time.perf_counter()
+    for f, c in zip(frames, cosets):
+        extract_code(lat, f, c)
+    t3 = time.perf_counter()
+    split["frames"] = t2 - t1
+    split["codes"] = t3 - t2
+    decompose(lat)          # the report's own, not timed
+    t0 = time.perf_counter()
+    module_orbit(lat)
+    split["orbit"] = time.perf_counter() - t0
+    rep = analyze(lat)
+    t0 = time.perf_counter()
+    doc = serialize.aut_report_json(rep)
+    t1 = time.perf_counter()
+    serialize.dumps(doc)
+    split["JSON doc"] = t1 - t0
+    split["dumps"] = time.perf_counter() - t1
+    return split
+
+
+def stage_split(spec, repeat):
+    """The median over repeat runs of each of STAGES, in seconds."""
+    runs = [stages(spec) for _ in range(repeat)]
+    return [statistics.median(r[s] for r in runs) for s in STAGES]
 
 
 def report_json(spec):
@@ -130,6 +190,13 @@ def main():
         if counts["kernel"] > 1:
             wrong.append("%s: %d kernel calls, expected 1"
                          % (spec, counts["kernel"]))
+    print()
+    print("%-12s" % "stage [ms]" + "".join("%13s" % s for s in STAGES))
+    for spec, _ in CASES:
+        print("%-12s" % spec + "".join(
+            "%13.2f" % (1e3 * t) for t in stage_split(spec, args.repeat)),
+            flush=True)
+    print()
     jobs = [(spec, lambda spec=spec: report_json(spec)) for spec in GLUED]
     for name, job in jobs + list(JOBS):
         counts = counted(job)

@@ -24,6 +24,8 @@ CASES = [
     ("E8 roots", "E8", None, 2, 240),
     ("Gamma16 roots", "Gamma16", None, 2, 480),
     ("E8+E8 norm 4", "E8+E8", None, 4, 61920),
+    ("D16 norm 4", "D16", None, 4, 29152),
+    ("Gamma16 norm 4", "Gamma16", None, 4, 61920),
     ("sqrt2E8 coset sweep", "lb(rep(8))", "torsion2", 2, 2160),
     ("sqrt2E8 one-pass sweep", "lb(rep(8))", "onepass", 2, 2160),
     ("BW16-like coset sweep", "lb(rm14)", "torsion2", 2, 4320),

@@ -20,6 +20,8 @@ typing, and the inspect, ast, dis and tokenize that come with them, add
 about 30 ms to every CLI run, json about 4 ms (the package reads it only
 for a file argument), and fractions with the decimal it loads about 2.5 ms
 (only the Fraction views and shortvec's rational arguments need it).
+array and struct are not loaded either: the packed lanes are built from
+bytes and ints alone.
 
 Usage: PYTHONPATH=src python bench/bench_startup.py [--repeat N]
 """
@@ -32,7 +34,7 @@ import sys
 import time
 
 GUARDED = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
-           "json", "fractions", "decimal")
+           "json", "fractions", "decimal", "array", "struct")
 ADDED = ("import sys; before = set(sys.modules); import voaplus.cli; "
          "print(' '.join(sorted(set(sys.modules) - before)))")
 JOB = ["analyze", "A1", "--format", "json"]

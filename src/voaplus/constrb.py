@@ -21,6 +21,15 @@ one denominator); the frame's coset and the structural cosets are looked
 up by the parity key of twice the vector (DiscriminantGroup.torsion2_index),
 not through the Smith form.
 
+Rootless cosets.  A qualifying coset holds a frame, 2n vectors +-e_i.
+When L has no roots the bound is 2n, so those are all of its norm-2
+vectors: the n records of the sweep are the frame.  Of each pair +-w the
+smaller is taken (its first nonzero entry is negative), and they are
+sorted: that is the frame the greedy picks, as it refuses none of them.
+No pairing is tested there: check (b) below, which runs on every frame,
+verifies that they are orthogonal of norm 2.  The greedy serves lattices
+with roots.
+
 The rebuild check.  Let R be the lattice that (code, signs, frame)
 generate: the halved signed codeword sums, 2 e_1 and the e_i + e_{i+1}.
 It is checked that
@@ -34,7 +43,8 @@ the e_i + e_{i+1}), and with (c), 4 x = sum_i <x, e_i> (2 e_i) lies in R for
 x in L.  So 4L is in R is in L, and L/R is a 2-group.  A finite 2-group A
 with A = 2A is trivial, so R = L exactly when R + 2L = L, that is when the
 generators over 4 have rank n mod 2: one elimination over F_2 in place of
-a Hermite normal form.
+a Hermite normal form.  extract_code checks (c), then (b), before it reads
+the code off the pairings, and (a) with the rank once it has the signs.
 
 Lanes.  Each frame row is handled as one int.  For (a) and the sign
 equations it is packed into lanes that hold y mod 8, lane k of
@@ -53,8 +63,9 @@ pairings with the whole frame.  With |<y, G y_i>| below 2^(w-1) the
 signed lanes of that sum are unique, so it equals 8 2^(w i) exactly when
 y = y_i has norm 8 (e_i norm 2) and is orthogonal to the rest.  The bound
 comes from the data, as the sweep sizes its lanes: n times the largest
-|entry| of the rows times that of the pairings (at least 8).  In the
-greedy of extract_frame every candidate is a norm-8 record, so by
+|entry| of the rows times that of the pairings, or 128 when they all lie
+in [-128, 128) (at least 8), and w is the fewest whole bytes above it.
+In the greedy of extract_frame every candidate is a norm-8 record, so by
 Cauchy-Schwarz its pairings with the chosen ones lie in [-8, 8] and lanes
 of 8 bits hold them.
 """
@@ -64,7 +75,7 @@ from itertools import chain
 from operator import neg
 
 from . import intmat
-from .codes import _f2_rank, _rref, make_code
+from .codes import BinaryCode, _f2_rank, _rref
 from .errors import (CosetNotInR, EqualityViolated, Incomplete, NoSignPattern,
                      NotDoublyEven)
 from .lattice import Lattice, cached_on_lattice, parity_key, require_even
@@ -181,7 +192,9 @@ def extract_frame(lat, coset):
     vectors at once, in 8-bit lanes (module docstring).  Of each pair +-w
     only the lexicographically smaller is a candidate: the larger comes
     later, when the smaller has been chosen (and <w, -w> = -8) or refused
-    by a chosen vector, which then refuses its negative too.
+    by a chosen vector, which then refuses its negative too.  On a rootless
+    lattice the candidates are the frame, and no pairing is tested (module
+    docstring).
     """
     n = lat.rank
     bound = frame_cosets(lat).bound
@@ -189,10 +202,17 @@ def extract_frame(lat, coset):
     if 2 * len(recs) < bound:
         raise CosetNotInR("coset %s does not meet the norm-2 bound"
                           % coset.label())
+    zero = (0,) * (2 * n)
+    cands = sorted(r if r < zero else tuple(map(neg, r)) for r in recs)
+    if bound == 2 * n:
+        # rootless: the n records are the frame, and extract_code checks
+        # that they are orthogonal (module docstring)
+        return Frame(rows=tuple(r[:n] for r in cands),
+                     pairings=tuple(r[n:] for r in cands))
     rows = []
     pairings = []
     cols = [0] * n      # the chosen pairings in 8-bit columns (docstring)
-    for r in sorted(min(r, tuple(map(neg, r))) for r in recs):
+    for r in cands:
         y = r[:n]
         if not intmat.dot(y, cols):
             gy = r[n:]
@@ -249,14 +269,33 @@ def _mod8_lanes(rows):
 def _pairing_columns(rows, pairings):
     """(width, cols): cols[j] = sum_i pairings[i][j] 2^(width i), and every
     |dot(row, pairings[i])| is below 2^(width - 1), as is 8 (module
-    docstring), so the lanes of dot(row, cols) are unique."""
+    docstring), so the lanes of dot(row, cols) are unique.  Lanes are whole
+    bytes.  When every pairing g lies in [-128, 128), column j is packed
+    from bytes, the low byte of lane i holding g + 128, and the biases are
+    subtracted from the int read back; otherwise the columns are shifted
+    together as ints."""
+    n = len(pairings)
+    try:
+        low = bytes(map((128).__add__, chain.from_iterable(zip(*pairings))))
+        top = 128
+    except ValueError:      # a pairing outside [-128, 128)
+        low = None
+        top = max(map(abs, chain.from_iterable(pairings)))
     bound = max(8, len(rows[0]) * max(map(abs, chain.from_iterable(rows)))
-                * max(map(abs, chain.from_iterable(pairings))))
-    width = bound.bit_length() + 1
-    cols = list(pairings[-1])
-    for p in pairings[-2::-1]:
-        cols = [(c << width) + g for c, g in zip(cols, p)]
-    return width, cols
+                * top)
+    nbytes = bound.bit_length() // 8 + 1
+    width = 8 * nbytes
+    if low is None:
+        cols = list(pairings[-1])
+        for p in pairings[-2::-1]:
+            cols = [(c << width) + g for c, g in zip(cols, p)]
+        return width, cols
+    size = n * nbytes
+    buf = bytearray(len(low) * nbytes)
+    buf[::nbytes] = low
+    bias = int.from_bytes(b"\x80".ljust(nbytes, b"\0") * n, "little")
+    return width, [int.from_bytes(buf[i:i + size], "little") - bias
+                   for i in range(0, len(buf), size)]
 
 
 def _support(word, n):
@@ -290,11 +329,13 @@ def extract_code(lat, frame, coset):
     # integer; bit i of code word j is its parity, bit 1 of gy[i][j].  With
     # those bits as binary digits, row by row and then reversed, column j
     # is digits[n - 1 - j::n], row n - 1 first: word j spelled out.
-    if any(map((1).__and__, chain.from_iterable(gy))):
+    low = bytes(map((3).__and__, chain.from_iterable(gy)))
+    if b"\1" in low or b"\3" in low:
         raise Incomplete("frame pairing was not integral")
-    digits = bytes(map((2).__and__, chain.from_iterable(gy))).translate(
-        _BITS)[::-1]
-    code = make_code(n, [int(digits[n - 1 - j::n], 2) for j in range(n)])
+    _check_frame(frame)
+    digits = low.translate(_BITS)[::-1]
+    code = BinaryCode(length=n, basis=_rref(
+        [int(digits[n - 1 - j::n], 2) for j in range(n)]))
 
     # sign conditions: for each basis codeword c, the halved sum over c
     # of +/-frame vectors lies in L iff the flip count on c has a forced
@@ -304,7 +345,7 @@ def extract_code(lat, frame, coset):
     low2 = 3 * ones
     equations = []
     for cword in code.basis:
-        acc = sum(lanes[i] for i in _support(cword, n))
+        acc = sum(map(lanes.__getitem__, _support(cword, n)))
         if not acc & low2:
             parity = 0
         elif not (acc + 2 * lanes[0]) & low2:
@@ -316,27 +357,37 @@ def extract_code(lat, frame, coset):
     if flips is None:
         raise NoSignPattern("sign parity system is inconsistent")
     signs = tuple(-1 if f else 1 for f in flips)
-    _check_rebuild(frame, code, signs)
+    _check_generators(ones, lanes, code, signs)
     return FrameDecomposition(coset=coset, rows=yframe, code=code,
                               signs=signs)
 
 
 def _check_rebuild(frame, code, signs):
-    """Raise unless (code, signs, frame) generate L itself.
+    """Raise unless (code, signs, frame) generate L itself: checks (b)
+    and (a) of the module docstring and the rank mod 2.  extract_code runs
+    the two halves itself, (b) before it reads the code and (a) on the
+    lanes it has built for the signs; it checks (c) first."""
+    _check_frame(frame)
+    _check_generators(*_mod8_lanes(frame.rows), code, signs)
 
-    Checks (b) and (a) of the module docstring and the rank mod 2, each in
-    lanes; (c), the integral pairings, is checked by extract_code before
-    it reads the code.
-    """
+
+def _check_frame(frame):
+    """Check (b): raise Incomplete unless the frame Gram matrix is 2 I."""
     yframe, gy = frame
-    n = len(yframe)
     width, cols = _pairing_columns(yframe, gy)
     for i, y in enumerate(yframe):
         if intmat.dot(y, cols) != 8 << (width * i):
             raise Incomplete("frame vectors are not orthogonal of norm 2")
-    ones, lanes = _mod8_lanes(yframe)
+
+
+def _check_generators(ones, lanes, code, signs):
+    """Check (a) and the rank mod 2 on the frame's mod-8 lanes
+    (_mod8_lanes): raise NoSignPattern unless the generators lie in L and
+    span it."""
+    n = len(lanes)
     signed = [p if s > 0 else 8 * ones - p for p, s in zip(lanes, signs)]
-    gens = [sum(signed[i] for i in _support(word, n)) for word in code.basis]
+    gens = [sum(map(signed.__getitem__, _support(word, n)))
+            for word in code.basis]
     gens.append(4 * lanes[0])
     gens += [2 * (a + b) for a, b in zip(lanes, lanes[1:])]
     low2 = 3 * ones
@@ -367,7 +418,8 @@ def structural_cosets(lat, dec):
     exactly when the code contains the all-one word.
     """
     yframe = dec.rows
-    plus = [intmat.dot(dec.signs, col) for col in zip(*yframe)]
+    plus = list(map(sum, zip(*(y if s > 0 else map(neg, y)
+                              for y, s in zip(yframe, dec.signs)))))
     minus = [a - 4 * dec.signs[0] * c for a, c in zip(plus, yframe[0])]
     index = lat.discriminant.torsion2_index
 
@@ -376,7 +428,7 @@ def structural_cosets(lat, dec):
         # lies in L iff 4 | num, and then the vector lies in the dual iff
         # G w = 0 mod 2, that is iff w mod 2 is a key of the index (its keys
         # are all of ker(G mod 2)), whose value is then the vector's coset
-        if any(c % 4 for c in num):
+        if any(map((3).__and__, num)):
             return None
         return index.get(parity_key([c // 4 for c in num]))
 

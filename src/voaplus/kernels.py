@@ -14,6 +14,17 @@ coordinate is 0, x_k is kept >= 0, and the zero vector is skipped.  Of each
 pair this keeps the vector whose last nonzero coordinate is positive, so
 the walk visits about half the nodes.  enumerate_offsets mirrors that half
 back (the zero vector joins at norm 0); half=True hands it over as is.
+
+Cached centers.  A node at level k needs its center sum
+c_k = sum_{j>k} lam[j][k] y_j, which costs n-1-k products when summed
+afresh.  The walk keeps the partial sums instead, the sigma table of Gama,
+Nguyen and Regev (EUROCRYPT 2010, Alg. 2, after Schnorr and Euchner, Math.
+Programming 66, 1994): sig[k][j] = sum_{i>=j} lam[i][k] y_i, with stale[k]
+the highest level whose y has changed since row k was last brought up to
+date.  A node recomputes only the entries of its row from stale[k] down,
+one product when only its parent has moved.  The sums are the same exact
+integers, so the pruning, the tree it walks, the leaf identity and every
+vector returned are unchanged; only the cost of a node falls.
 """
 
 from math import isqrt
@@ -44,6 +55,10 @@ def _enumerate(gram, q, rnum, mnum, mden, half):
     target = mnum * q * q
     x = [0] * n
     y = [0] * n
+    # the sigma table (module docstring): sig[k][j] = sum_{i>=j} lam[i][k] y_i
+    # holds for j > stale[k]; sig[k][n] = 0
+    sig = [[0] * (n + 1) for _ in range(n)]
+    stale = [n - 1] * n
     out = []
 
     def descend(k, p, lead):
@@ -52,9 +67,12 @@ def _enumerate(gram, q, rnum, mnum, mden, half):
         bound = d[k] * (dk1 * target - mden * p)
         r = isqrt(bound // mden)
         a = dk1 * q
-        b = dk1 * rnum[k]
-        for j in range(k + 1, n):
-            b += lam[j][k] * y[j]
+        row = sig[k]
+        top = stale[k]
+        for j in range(top, k, -1):
+            row[j] = row[j + 1] + lam[j][k] * y[j]
+        stale[k] = k
+        b = dk1 * rnum[k] + row[k + 1]
         lo, hi = -((r + b) // a), (r - b) // a
         if lead:
             # b = 0 here, so the range is symmetric; 0 leads on to the
@@ -68,12 +86,18 @@ def _enumerate(gram, q, rnum, mnum, mden, half):
                     x[0] = xk
                     out.append(tuple(x))
             return
+        # row k - 1 is stale wherever row k was (top >= k also covers y_k,
+        # which the loop moves); after each child, y_k alone moves on
+        below = k - 1
+        if stale[below] < top:
+            stale[below] = top
         dk = d[k]
         for xk in range(lo, hi + 1):
             w = a * xk + b
             x[k] = xk
             y[k] = q * xk + rnum[k]
-            descend(k - 1, (dk * p + w * w) // dk1, lead and not xk)
+            descend(below, (dk * p + w * w) // dk1, lead and not xk)
+            stale[below] = k
 
     descend(n - 1, 0, half)
     return out

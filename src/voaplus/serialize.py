@@ -62,6 +62,19 @@ def scaled_vec_json(scale, row):
     return list(map(_ratio_str, row, repeat(scale)))
 
 
+class _Ratios(dict):
+    """num -> _ratio_str(num, den) for one den, each string made once."""
+    __slots__ = ("den",)
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num):
+        text = self[num] = _ratio_str(num, self.den)
+        return text
+
+
 def scaled_vec_text(scale, row):
     """The vector row / scale as text, "(p/q, p, ...)" (num_text entries)."""
     return "(" + ", ".join(_ratio_str(c, scale).removesuffix("/1")
@@ -119,9 +132,17 @@ def _write(x, nl, out):
             out.append("[]")
             return
         inner = nl + "  "
+        try:
+            # a list of strings (a frame row) in one join; the first
+            # entry of another type leads to the general path
+            out.append("[" + inner + ("," + inner).join(
+                map(encode_basestring_ascii, x)) + nl + "]")
+            return
+        except TypeError:
+            pass
         types = set(map(type, x))
         if types <= _SCALARS:
-            encode = encode_basestring_ascii if types == {str} else _scalar
+            encode = int_str if types == {int} else _scalar
             out.append("[" + inner + ("," + inner).join(map(encode, x))
                        + nl + "]")
         else:
@@ -152,12 +173,17 @@ def frame_cosets_json(fc):
 
 
 def decomposition_json(dec):
-    return {
-        "coset": coset_json(dec.coset),
-        "frame": [scaled_vec_json(2, row) for row in dec.rows],
-        "code": code_json(dec.code),
-        "signs": list(dec.signs),
-    }
+    return decompositions_json((dec,))[0]
+
+
+def decompositions_json(decs):
+    """decomposition_json of each, the frame entries rendered through one
+    table of strings: frame rows repeat a few small entries."""
+    text = _Ratios(2).__getitem__
+    return [{"coset": coset_json(d.coset),
+             "frame": [list(map(text, row)) for row in d.rows],
+             "code": code_json(d.code),
+             "signs": list(d.signs)} for d in decs]
 
 
 def orbit_json(orbit):
@@ -197,7 +223,7 @@ def aut_report_json(rep):
         "kind": "aut_report",
         "lattice": lattice_json(rep.lattice),
         "frame_cosets": frame_cosets_json(rep.frame_coset_set),
-        "decompositions": [decomposition_json(d) for d in rep.decompositions],
+        "decompositions": decompositions_json(rep.decompositions),
         "conditions": {"len8_all_one": rep.cond_a,
                        "len16_rm14": rep.cond_b,
                        "e8": rep.cond_c},

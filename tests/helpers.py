@@ -10,10 +10,10 @@ classifies through the package's Smith-form route (not the parity-key
 index it checks), structural_cosets_gram_route, which tests dual
 membership with the Gram matrix before it reads the index,
 rep_of_element, which reads the Smith form's adjugate rows, and
-single_coset_frame and sweep_offsets, which read one coset's own tree and
-the sweep's records.  canonicalize_coset and kernel_offsets adapt rational
-vectors to the package's Smith-form route and integer kernel; golay_code
-and leech_gram build the rank-24 examples.
+single_coset_frame, greedy_frame and sweep_offsets, which read one
+coset's own tree and the sweep's records.  canonicalize_coset and
+kernel_offsets adapt rational vectors to the package's Smith-form route
+and integer kernel; golay_code and leech_gram build the rank-24 examples.
 """
 
 import math
@@ -473,6 +473,24 @@ def single_coset_frame(lat, coset):
             if len(rows) == n:
                 return Frame(rows=tuple(rows), pairings=tuple(pairings))
     raise AssertionError("no frame in coset %s" % coset.label())
+
+
+def greedy_frame(lat, coset):
+    """extract_frame's greedy, with exact inner products and no lanes.
+
+    The candidates are the coset's records from the sweep, both signs,
+    sorted; each is kept when its w pairs to 0 with every kept one.  Of
+    each pair +-w the negative comes first, and the positive is then
+    refused, its pairing with -w being -8.
+    """
+    n = lat.rank
+    rows, pairings = [], []
+    for r in signed_records(lat.torsion2_norm2_records[coset]):
+        if all(dot(r[:n], gy) == 0 for gy in pairings):
+            rows.append(r[:n])
+            pairings.append(r[n:])
+    assert len(rows) == n, "no frame in coset %s" % coset.label()
+    return Frame(rows=tuple(rows), pairings=tuple(pairings))
 
 
 def sweep_offsets(lat):

@@ -742,9 +742,11 @@ def test_import_leaves_heavy_stdlib_modules_out(module):
     # inspect, ast, dis and tokenize, about 30 ms of every cold CLI run.
     # -S keeps the interpreter's own site hooks out of the picture.
     # json is read only for a file argument, fractions (which loads
-    # decimal) only by the Fraction views and shortvec's rational arguments
+    # decimal) only by the Fraction views and shortvec's rational arguments;
+    # the packed lanes need neither array nor struct (a site hook may load
+    # struct, so only -S shows a new dependency on it)
     guarded = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize",
-               "json", "fractions", "decimal")
+               "json", "fractions", "decimal", "array", "struct")
     code = ("import sys, %s; print(' '.join(m for m in %r if m in sys.modules))"
             % (module, guarded))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

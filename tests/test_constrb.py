@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_force_lexmin_f2, canonicalize_coset,
-                     construction_b_generators, doubly_even_sample, inner,
+                     construction_b_generators, doubly_even_sample,
+                     greedy_frame, inner,
                      is_construction_b, norm, random_doubly_even_code,
                      random_posdef_gram, random_unimodular_conjugate,
                      rebuild_spans_lattice, same_lattice, single_coset_frame,
                      structural_cosets_gram_route, structural_cosets_oracle)
-from voaplus import (Lattice, build_construction_b, count_norm, decompose,
+from voaplus import (CATALOG, Lattice, build_construction_b, count_norm, decompose,
                      extract_code, extract_frame, frame_cosets, hamming8,
                      intmat, make_code, parse_spec, repetition_code, rm14,
                      structural_cosets, words_of_weight, zero_code)
@@ -404,6 +405,86 @@ def test_extract_frame_examples():
     assert all(norm(d44, f) == 2 for f in frame)
     # deterministic
     assert frame == extract_frame(d44, coset).vectors
+
+
+EVEN_CATALOG = [e.constructor for e in CATALOG
+                if e.kind == "lattice" and parse_spec(e.constructor).is_even]
+
+
+@pytest.mark.parametrize("spec", EVEN_CATALOG)
+def test_extract_frame_matches_the_greedy_on_the_catalog(spec):
+    # a rootless lattice takes its frames straight off the records; they
+    # are the frames the greedy picks, as on lattices with roots
+    lat = parse_spec(spec)
+    for coset in frame_cosets(lat).cosets:
+        assert extract_frame(lat, coset) == greedy_frame(lat, coset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_extract_frame_matches_the_greedy_on_random_lattices(seed):
+    # random Construction-B lattices, rootless when the code has no
+    # weight-4 word, in a skewed basis half the time
+    rng = random.Random(seed)
+    n = rng.choice([4, 6, 8])
+    code = random_doubly_even_code(rng, n, rng.randint(0, n // 2))
+    lat = build_construction_b(code)[0]
+    if rng.getrandbits(1):
+        lat = Lattice(random_unimodular_conjugate(rng, lat.gram))
+    cosets = frame_cosets(lat).cosets
+    assert cosets
+    for coset in cosets:
+        assert extract_frame(lat, coset) == greedy_frame(lat, coset)
+
+
+# corrupts the records of the first frame coset of the rootless lb(rep(8))
+# into a set that is not orthogonal, then prints how decompose refuses it:
+# "dup" repeats the first record, "foreign" puts a record of another coset
+# that pairs with a kept one in place of the second
+CORRUPT_FRAME = """
+import sys
+from voaplus import parse_spec
+from voaplus.constrb import decompose, frame_cosets
+from voaplus.errors import Incomplete
+
+lat = parse_spec("lb(rep(8))")
+n = lat.rank
+recs = lat.torsion2_norm2_records
+cosets = frame_cosets(lat).cosets
+zero = (0,) * (2 * n)
+
+def canon(r):
+    return r if r < zero else tuple(-c for c in r)
+
+own = sorted(map(canon, recs[cosets[0]]))
+if sys.argv[1] == "dup":
+    recs[cosets[0]] = (own[0],) + tuple(own[:-1])
+else:
+    kept = [own[0]] + own[2:]
+    foreign = next(canon(r) for c in cosets[1:] for r in recs[c]
+                   if canon(r) > own[0] and any(
+                       sum(a * b for a, b in zip(canon(r)[:n], e[n:]))
+                       for e in kept))
+    recs[cosets[0]] = (own[0], foreign) + tuple(own[2:])
+try:
+    decompose(lat)
+    print("accepted")
+except Incomplete as exc:
+    print(type(exc).__name__, exc, __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("corruption", ["dup", "foreign"])
+def test_rootless_frame_that_is_not_orthogonal_is_refused(flags, corruption):
+    # the rootless path takes the records without testing a pairing;
+    # check (b) of the rebuild refuses them, also under -O
+    done = subprocess.run(
+        [sys.executable] + flags + ["-c", CORRUPT_FRAME, corruption],
+        capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [
+        "Incomplete", "frame", "vectors", "are", "not", "orthogonal", "of",
+        "norm", "2", str(not flags)]
 
 
 def test_extract_frame_rejects_non_qualifying():

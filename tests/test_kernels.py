@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (canonicalize_coset, det_bareiss, dual_gram,
                      kernel_offsets, naive_vectors_of_norm,
                      random_posdef_gram)
-from voaplus import Lattice, vectors_of_norm
+from voaplus import Lattice, kernels, parse_spec, vectors_of_norm
 from voaplus.errors import NotPositiveDefinite
 from voaplus.intmat import dot, ldl
 
@@ -168,3 +168,48 @@ def test_representative_zero_walks_half_of_each_pair(seed, n):
 def test_half_enumeration_needs_representative_zero():
     with pytest.raises(ValueError):
         kernel_offsets([[4]], (Fraction(1, 2),), 1, half=True)
+
+
+# (spec, norm, nodes, vectors): the kernel's tree on catalog Gram matrices
+KERNEL_WORK = [("E8", 6, 4651, 6720), ("D16", 4, 39176, 29152),
+               ("Gamma16", 4, 100784, 61920), ("lb(rm14)", 4, 15529, 4320)]
+
+
+def _counting_nodes(monkeypatch):
+    # the kernel takes one isqrt at every node of its tree
+    nodes = [0]
+
+    def counting(v):
+        nodes[0] += 1
+        return math.isqrt(v)
+
+    monkeypatch.setattr(kernels, "isqrt", counting)
+    return nodes
+
+
+@pytest.mark.parametrize("spec,m,nodes,vectors", KERNEL_WORK,
+                         ids=["%s norm %d" % w[:2] for w in KERNEL_WORK])
+def test_kernel_work_is_pinned(monkeypatch, spec, m, nodes, vectors):
+    # the cached centers cut the cost of a node, not the tree: the node
+    # and vector counts are those of a kernel that sums every center afresh
+    gram = parse_spec(spec).gram
+    counted = _counting_nodes(monkeypatch)
+    out = kernels.enumerate_offsets(gram, 1, (0,) * len(gram), m)
+    assert (counted[0], len(out)) == (nodes, vectors)
+
+
+def test_sweep_kernel_work_is_pinned(monkeypatch):
+    # lb(rm14)'s torsion-2 sweep: one half enumeration of M at norm 8
+    lat = parse_spec("lb(rm14)")
+    counted = _counting_nodes(monkeypatch)
+    calls = []
+    real = kernels.enumerate_offsets
+
+    def recording(*args):
+        out = real(*args)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(kernels, "enumerate_offsets", recording)
+    lat.torsion2_norm2_records
+    assert (counted[0], calls) == (13548, [2160])
