@@ -331,21 +331,14 @@ def lattice_from_file(path):
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("input file must hold a JSON object")
-    if "gram" in doc:
-        gram = doc["gram"]
-        if not (isinstance(gram, list)
-                and all(isinstance(row, list) for row in gram)):
-            raise ParseError("'gram' must be a list of integer lists")
-        _check_rank(len(gram))
-        return Lattice(gram)
-    if "length" in doc:
-        length, gens = doc["length"], doc.get("generators", [])
-        if (isinstance(length, bool) or not isinstance(length, int)
-                or not isinstance(gens, list)):
-            raise ParseError("'length' must be an integer and 'generators' "
-                             "a list")
-        return make_code(length, gens)
-    raise ParseError("input file needs a 'gram' or 'length' field")
+    if "gram" not in doc:
+        raise ParseError("input file needs a 'gram' field")
+    gram = doc["gram"]
+    if not (isinstance(gram, list)
+            and all(isinstance(row, list) for row in gram)):
+        raise ParseError("'gram' must be a list of integer lists")
+    _check_rank(len(gram))
+    return Lattice(gram)
 
 
 class CatalogEntry(namedtuple("CatalogEntry",

@@ -2,13 +2,14 @@
 
 Commands: analyze, shortvec, rl, decompose, orbit, odd, selftest.  The
 positional SPEC is either a constructor expression (see catalog) or a path
-to a JSON document with a "gram" (lattice) or "length"/"generators" (code)
-field.  Exit codes: 0 ok, 2 bad input, 3 precondition violation, 4 internal
-assertion failure, 141 (the shell's status for SIGPIPE) when the reader of
-stdout closes it early, with nothing on stderr.  VOAPLUS_RANK_BOUND, a
-non-negative integer, is the rank up to which report searches for |O(L)|
-(default 4); any other value is bad input, as is a rational argument with
-an exponent above 4300 in magnitude (int()'s digit limit).
+to a JSON document with a "gram" field; a code expression is refused as a
+precondition violation.  Exit codes: 0 ok, 2 bad input, 3 precondition
+violation, 4 internal assertion failure, 141 (the shell's status for
+SIGPIPE) when the reader of stdout closes it early, with nothing on stderr.
+VOAPLUS_RANK_BOUND, a non-negative integer, is the rank up to which
+``analyze`` and ``odd`` search for |O(L)| (default 4; ``selftest`` always
+checks the default); any other value is bad input, as is a rational
+argument with an exponent above 4300 in magnitude (int()'s digit limit).
 
 The ``voaplus`` command and ``python -m voaplus`` run ``entry``: it calls
 ``main``, flushes stdout and stderr and ends the process with os._exit, so
@@ -49,14 +50,10 @@ def rank_bound():
                      "got %s" % quoted(raw))
 
 
-def load_spec(text):
+def load_lattice(text):
     if os.path.exists(text):
         return lattice_from_file(text)
-    return parse_spec(text)
-
-
-def load_lattice(text):
-    obj = load_spec(text)
+    obj = parse_spec(text)
     if isinstance(obj, BinaryCode):
         raise PreconditionError("this command needs a lattice, got a code")
     return obj
@@ -162,7 +159,7 @@ def cmd_decompose(args):
 
     return emit(args, text, lambda: {
         "schema_version": serialize.SCHEMA_VERSION, "kind": "decompositions",
-        "items": [serialize.decomposition_json(d) for d in decs]})
+        "items": serialize.decompositions_json(decs)})
 
 
 def cmd_orbit(args):
@@ -187,7 +184,7 @@ def cmd_odd(args):
 
 
 def cmd_selftest(args):
-    checks = run_selftest(rank_bound())
+    checks = run_selftest()
     failed = [c for c in checks if not c.ok]
 
     def text():

@@ -151,33 +151,25 @@ def word_from_support(positions):
 def make_code(n, generators):
     """Canonical BinaryCode of length n spanned by the generators.
 
-    Generators may be bit-packed ints, 0/1 strings, or 0/1 lists or
-    tuples; anything else (a float, None, a bool) raises ParseError.  An
-    error names the generator by its index, type and length (a string by
-    its length and first bad position), never by its value, which may be
-    arbitrarily long or deep.
+    Generators may be bit-packed ints or 0/1 strings; anything else (a
+    float, None, a bool, a list) raises ParseError.  An error names the
+    generator by its index, type and length (a string by its length and
+    first bad position), never by its value, which may be arbitrarily long.
     """
     if n <= 0:
         raise LengthMismatch("code length must be positive")
     words = []
     for k, g in enumerate(generators):
-        kind = type(g).__name__
-        if isinstance(g, bool) or not isinstance(g, (int, str, list, tuple)):
-            raise ParseError("generator %d is a %s, not a bit-packed int, a "
-                             "0/1 string or a 0/1 list" % (k, kind))
+        if isinstance(g, bool) or not isinstance(g, (int, str)):
+            raise ParseError("generator %d is a %s, not a bit-packed int or "
+                             "a 0/1 string" % (k, type(g).__name__))
         if isinstance(g, int):
             w = g
         elif len(g) != n:
-            raise LengthMismatch("generator %d (a %s) has length %d, "
-                                 "expected %d" % (k, kind, len(g), n))
-        elif isinstance(g, str):
-            w = word_from_string(g)
-        elif all(isinstance(b, int) and not isinstance(b, bool)
-                and b in (0, 1) for b in g):
-            w = word_from_support(i for i, b in enumerate(g) if b)
+            raise LengthMismatch("generator %d (a str) has length %d, "
+                                 "expected %d" % (k, len(g), n))
         else:
-            raise LengthMismatch("generator %d (a %s of length %d) must be "
-                                 "over {0,1}" % (k, kind, len(g)))
+            w = word_from_string(g)
         if w >> n:
             raise LengthMismatch("generator uses coordinates beyond length %d" % n)
         words.append(w)

@@ -362,15 +362,6 @@ def extract_code(lat, frame, coset):
                               signs=signs)
 
 
-def _check_rebuild(frame, code, signs):
-    """Raise unless (code, signs, frame) generate L itself: checks (b)
-    and (a) of the module docstring and the rank mod 2.  extract_code runs
-    the two halves itself, (b) before it reads the code and (a) on the
-    lanes it has built for the signs; it checks (c) first."""
-    _check_frame(frame)
-    _check_generators(*_mod8_lanes(frame.rows), code, signs)
-
-
 def _check_frame(frame):
     """Check (b): raise Incomplete unless the frame Gram matrix is 2 I."""
     yframe, gy = frame

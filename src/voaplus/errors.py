@@ -2,8 +2,8 @@
 
 Three families matter to callers (and to the CLI exit codes):
 
-* ``InputError``     -- malformed user input (bad Gram matrix, bad code file,
-                        unparsable expression).  CLI exit code 2.
+* ``InputError``     -- malformed user input (bad Gram matrix or input
+                        file, unparsable expression).  CLI exit code 2.
 * ``PreconditionError`` -- a well-formed object fed to an operation whose
                         preconditions it violates.  CLI exit code 3.
 * ``InternalCheckError`` -- a runtime assertion that is mathematically

@@ -29,10 +29,10 @@ over L's basis, G w being the pairings <w, b_j>.  The records are the one
 stored copy of the sweep.  The frame greedy of constrb reads them, and so
 do norm-2 counts on those cosets once they exist (count_norm, root_count);
 vector_rows_of_norm always lists a coset from its own tree.  A record costs
-one multiply-add per nonzero coordinate of the reduced-basis vector y:
-every reduced basis row is packed once, with its G-image, into one int of
-2n signed lanes, and w + G w = sum_i y_i P_i is read back from the lanes
-of the sum (see _torsion2_sweep for the lane bound).
+one dot product of the reduced-basis vector y with the packed rows: every
+reduced basis row is packed once, with its G-image, into one int of 2n
+signed lanes, and w + G w = sum_i y_i P_i is read back from the lanes of
+the sum (see _torsion2_sweep for the lane bound).
 
 The sweep refuses a lattice with more than 2^TORSION2_LIMIT order-<=2
 cosets (DimensionTooLarge) before it builds any of them.
@@ -316,8 +316,10 @@ def _torsion2_sweep(lat):
     every lane c_k + 2^(width-1), in [0, 2^width), and xor with bias turns
     each lane into the two's complement of c_k, read back by a memoryview
     cast (lanes over 8 bytes, which need a basis skewed past 2^60, by
-    int.from_bytes).  The parity key is linear over F_2 as well: the xor
-    of the row keys over the odd y_i.
+    int.from_bytes).  Bit 0 of a two's-complement lane is c_k mod 2, so
+    the mapped int masked by ``low`` (bit 0 of each of the first n lanes)
+    holds w mod 2: the records are bucketed by it, and each bucket's
+    parity key is read once, off its first record.
     """
     n = lat.rank
     index = lat.discriminant.torsion2_index     # the size check comes first
@@ -336,7 +338,7 @@ def _torsion2_sweep(lat):
     packed = [sum(c << (width * k)
                   for k, c in enumerate(row + lat.gram_times(row)))
               for row in rows]
-    keys = [parity_key(row) for row in rows]
+    low = sum(1 << (width * k) for k in range(n))
     size = 2 * n * nbytes
     # bytes in the host's order, so that a cast reads the lanes; on a
     # big-endian host they come out last lane first
@@ -355,16 +357,11 @@ def _torsion2_sweep(lat):
     ys = kernels.enumerate_offsets(reduced, 1, (0,) * n, 8, True)
     buckets = {}
     while ys:
-        y = ys.pop()    # each y is freed once mapped
-        acc = key = 0
-        for yi, p, k in zip(y, packed, keys):
-            if yi:
-                acc += yi * p
-                if yi & 1:
-                    key ^= k
-        rec = unpack(((acc + bias) ^ bias).to_bytes(size, order))
-        buckets.setdefault(key, []).append(rec)
-    return {c: tuple(sorted(buckets.get(key, ()))) for key, c in index.items()}
+        # each y is freed once mapped
+        v = (intmat.dot(ys.pop(), packed) + bias) ^ bias
+        buckets.setdefault(v & low, []).append(unpack(v.to_bytes(size, order)))
+    by_key = {parity_key(recs[0][:n]): recs for recs in buckets.values()}
+    return {c: tuple(sorted(by_key.get(key, ()))) for key, c in index.items()}
 
 
 def signed_records(recs):

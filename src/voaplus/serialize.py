@@ -172,13 +172,9 @@ def frame_cosets_json(fc):
     }
 
 
-def decomposition_json(dec):
-    return decompositions_json((dec,))[0]
-
-
 def decompositions_json(decs):
-    """decomposition_json of each, the frame entries rendered through one
-    table of strings: frame rows repeat a few small entries."""
+    """The JSON of each FrameDecomposition, the frame entries rendered
+    through one table of strings: frame rows repeat a few small entries."""
     text = _Ratios(2).__getitem__
     return [{"coset": coset_json(d.coset),
              "frame": [list(map(text, row)) for row in d.rows],

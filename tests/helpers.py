@@ -4,8 +4,9 @@ Everything here is deliberately naive -- box enumeration, brute-force
 products, Hermite normal forms over Fractions -- so that it shares no code
 path with the package internals it checks; the exceptions, named in their
 docstrings, are the leaf-counting and list-based isometry searches, which
-take their candidate vectors from the package, is_construction_b, which
-runs the package's decomposition, structural_cosets_oracle, which
+take their candidate vectors from the package, check_rebuild, which runs
+the package's two rebuild checks, is_construction_b, which runs the
+package's decomposition, structural_cosets_oracle, which
 classifies through the package's Smith-form route (not the parity-key
 index it checks), structural_cosets_gram_route, which tests dual
 membership with the Gram matrix before it reads the index,
@@ -23,6 +24,7 @@ from itertools import product
 
 from voaplus import (Frame, Lattice, StructuralCosets, extract_code,
                      extract_frame, frame_cosets, make_code, vectors_of_norm)
+from voaplus.constrb import _check_frame, _check_generators, _mod8_lanes
 from voaplus.errors import NotPositiveDefinite, RankDeficient
 from voaplus.intmat import (adjugate, dot, hnf, ldl, lll_gram,
                             same_row_lattice)
@@ -413,6 +415,15 @@ def rebuild_spans_lattice(dec):
             construction_b_generators(dec.frame, dec.code, dec.signs), unit)
     except RankDeficient:
         return False
+
+
+def check_rebuild(frame, code, signs):
+    """Raise unless (code, signs, frame) generate L itself: checks (b)
+    and (a) of the constrb module docstring and the rank mod 2, through the
+    package's own two halves, which extract_code runs itself: (b) before it
+    reads the code and (a) on the lanes it has built for the signs."""
+    _check_frame(frame)
+    _check_generators(*_mod8_lanes(frame.rows), code, signs)
 
 
 def is_construction_b(lat):

@@ -10,9 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from voaplus import BinaryCode, CATALOG, Lattice, parse_spec, serialize
+from voaplus import (BinaryCode, CATALOG, Lattice, make_code, parse_spec,
+                     serialize)
 from voaplus.catalog import SIZE_LIMIT
-from voaplus.cli import load_spec, main
+from voaplus.cli import load_lattice, main
 from voaplus.errors import LengthMismatch, ParseError, UnknownName
 
 REPO = Path(__file__).resolve().parent.parent
@@ -379,7 +380,7 @@ def test_cli_refuses_lattices_above_the_rank_limit(tmp_path, capsys, spec):
 
 
 def test_gram_file_at_the_rank_limit_parses(tmp_path):
-    assert load_spec(_gram_file(tmp_path, SIZE_LIMIT)).rank == SIZE_LIMIT
+    assert load_lattice(_gram_file(tmp_path, SIZE_LIMIT)).rank == SIZE_LIMIT
 
 
 @pytest.mark.parametrize("spec", [
@@ -415,7 +416,7 @@ def test_cli_text_mode_builds_no_json(monkeypatch, capsys, argv):
     def refuse(*args):
         raise AssertionError("JSON built in text mode")
     for name in ("aut_report_json", "odd_report_json", "frame_cosets_json",
-                 "decomposition_json", "orbit_json", "scaled_vec_json"):
+                 "decompositions_json", "orbit_json", "scaled_vec_json"):
         monkeypatch.setattr(serialize, name, refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out
@@ -432,7 +433,8 @@ def test_cli_lattice_file_input(tmp_path, capsys):
     code_doc = {"length": 8, "generators": ["11111111"]}
     cpath = tmp_path / "code.json"
     cpath.write_text(json.dumps(code_doc), encoding="utf-8")
-    assert main(["analyze", str(cpath)]) == 3  # a code is not a lattice
+    assert main(["analyze", str(cpath)]) == 2  # a SPEC file holds a lattice
+    assert "input file needs a 'gram' field" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -452,38 +454,46 @@ def test_cli_lattice_file_wrong_shape(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("doc", [
     {"gram": [[True, False], [False, True]]},
-    {"length": 4, "generators": ["1111", 3.5]},
-    {"length": 4, "generators": ["1111", None]},
-    {"length": 4, "generators": [True]},
-    {"length": 4, "generators": [[1, 1, 1, 1.0]]},
-    {"length": True, "generators": []}])
+    {"gram": [[2.0]]},
+    {"gram": [[None]]},
+    {"gram": [[2, 1], [1, True]]},
+    {"gram": [["2"]]},
+    {"gram": [[2, 0.5], [0.5, 2]]}])
 def test_cli_input_file_wrong_entry_types(tmp_path, capsys, doc):
-    # JSON true is not the integer 1, and a float is not a codeword
+    # JSON true is not the integer 1, nor is 2.0 or "2"
     path = tmp_path / "entries.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for verb in ("analyze", "odd"):
         assert main([verb, str(path)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not an integer" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("doc, start", [
-    ('{"length": 1, "generators": [' + "[" * 900 + "1" + "]" * 900 + "]}",
-     "generator 0 (a list of length 1)"),
-    (json.dumps({"length": 4, "generators": ["1" * 10 ** 5]}),
-     "generator 0 (a str) has length 100000"),
-    (json.dumps({"length": 10 ** 5, "generators": ["1" * 99999 + "2"]}),
-     "codeword string of length 100000 is not over {0,1} at position 99999")],
-    ids=["nested 900 deep", "10^5 characters", "10^5 characters, a 2"])
-def test_cli_code_errors_do_not_echo_the_generator(tmp_path, capsys, doc,
-                                                   start):
+@pytest.mark.parametrize("case", [
+    "nested 900 deep", "10^5 characters", "10^5 characters, a 2"])
+def test_cli_code_errors_do_not_echo_the_generator(capsys, case):
     # the messages once held the whole generator: 1.8 KB for the nested
     # one, 100 KB for the long ones
-    path = tmp_path / "code.json"
-    path.write_text(doc, encoding="utf-8")
-    assert main(["analyze", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: " + start)
-    assert len(err.encode()) < 200
+    if case == "10^5 characters":
+        assert main(["analyze", "lb(code(4, %s))" % ("1" * 10 ** 5)]) == 2
+        msg = capsys.readouterr().err
+        assert msg.startswith(
+            "input error: generator 0 (a str) has length 100000")
+    elif case == "nested 900 deep":
+        nested = 1
+        for _ in range(900):
+            nested = [nested]
+        with pytest.raises(ParseError) as info:
+            make_code(1, [nested])
+        msg = str(info.value)
+        assert msg.startswith("generator 0 is a list, ")
+    else:
+        with pytest.raises(LengthMismatch) as info:
+            make_code(10 ** 5, ["1" * 99999 + "2"])
+        msg = str(info.value)
+        assert msg.startswith("codeword string of length 100000 is not "
+                              "over {0,1} at position 99999")
+    assert len(msg.encode()) < 200
 
 
 @pytest.mark.parametrize("site", [
@@ -632,6 +642,18 @@ def test_cli_selftest_small(monkeypatch, capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
+
+
+def test_cli_selftest_ignores_the_rank_bound(monkeypatch, capsys):
+    # the pinned orders assume the default bound; at bound 0 the self-test
+    # once reported them missing and exited 4
+    import voaplus.selftest as st
+    small = tuple(e for e in st.CATALOG
+                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
+    monkeypatch.setattr(st, "CATALOG", small)
+    monkeypatch.setenv("VOAPLUS_RANK_BOUND", "0")
+    assert main(["selftest"]) == 0
+    assert "0 failed" in capsys.readouterr().out
 
 
 def test_cli_selftest_detects_injected_violation(monkeypatch, capsys):

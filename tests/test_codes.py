@@ -7,7 +7,8 @@ from helpers import random_doubly_even_code
 from voaplus import (hamming8, make_code, repetition_code, rm14, rm14_subcode,
                      words_of_weight, zero_code)
 from voaplus.codes import word_from_string
-from voaplus.errors import DimensionTooLarge, LengthMismatch, WrongLength
+from voaplus.errors import (DimensionTooLarge, LengthMismatch, ParseError,
+                            WrongLength)
 
 
 def test_make_code_examples():
@@ -30,6 +31,15 @@ def test_make_code_validates_length():
         make_code(0, [])
     with pytest.raises(LengthMismatch):
         make_code(2, [0b111])
+
+
+@pytest.mark.parametrize("gens", [
+    ["1111", 3.5], ["1111", None], [True], [[1, 1, 1, 1]], [(1, 1, 1, 1)]])
+def test_make_code_refuses_other_generator_types(gens):
+    # a bool is not the integer 1, and a float or a list is not a codeword
+    with pytest.raises(ParseError, match="generator %d is a %s, not a "
+                       % (len(gens) - 1, type(gens[-1]).__name__)):
+        make_code(4, gens)
 
 
 def test_make_code_is_canonical_and_idempotent():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_force_lexmin_f2, canonicalize_coset,
-                     construction_b_generators, doubly_even_sample,
-                     greedy_frame, inner,
+                     check_rebuild, construction_b_generators,
+                     doubly_even_sample, greedy_frame, inner,
                      is_construction_b, norm, random_doubly_even_code,
                      random_posdef_gram, random_unimodular_conjugate,
                      rebuild_spans_lattice, same_lattice, single_coset_frame,
@@ -20,9 +20,8 @@ from voaplus import (CATALOG, Lattice, build_construction_b, count_norm, decompo
                      intmat, make_code, parse_spec, repetition_code, rm14,
                      structural_cosets, words_of_weight, zero_code)
 from voaplus.codes import word_from_support
-from voaplus.constrb import (FrameDecomposition, _check_rebuild,
-                             _lexmin_f2_solution, _mod8_lanes,
-                             _pairing_columns)
+from voaplus.constrb import (FrameDecomposition, _lexmin_f2_solution,
+                             _mod8_lanes, _pairing_columns)
 from voaplus.errors import (CosetNotInR, Incomplete, NoSignPattern,
                             NotDoublyEven, NotEven)
 
@@ -291,7 +290,7 @@ def test_decompose_with_two_byte_lanes():
     flipped = (-dec.signs[0],) + dec.signs[1:]
     assert not rebuild_spans_lattice(dec._replace(signs=flipped))
     with pytest.raises(NoSignPattern):
-        _check_rebuild(frame, dec.code, flipped)
+        check_rebuild(frame, dec.code, flipped)
 
 
 CORRUPTIONS = ("none", "sign", "row", "code", "pairing")
@@ -305,7 +304,7 @@ def test_packed_checks_refuse_exactly_what_the_hnf_oracle_refuses(
     # on a random Construction-B lattice (in a skewed basis half the time),
     # corrupt one decomposition: flip a sign, take a frame row (with its
     # pairing) from another frame coset, drop a code generator, or move a
-    # pairing by +-2.  _check_rebuild raises exactly when the HNF route
+    # pairing by +-2.  check_rebuild raises exactly when the HNF route
     # says the corrupted data do not rebuild L (a pairing that is not G y
     # never does); so does extract_code, which reads its own code and
     # signs off the frame
@@ -339,7 +338,7 @@ def test_packed_checks_refuse_exactly_what_the_hnf_oracle_refuses(
              and rebuild_spans_lattice(
                  dec._replace(rows=bad.rows, code=code, signs=signs)))
     try:
-        _check_rebuild(bad, code, signs)
+        check_rebuild(bad, code, signs)
         refused = False
     except (Incomplete, NoSignPattern):
         refused = True
@@ -657,7 +656,7 @@ def test_rebuild_check_agrees_with_hnf_oracle(spec):
         frame = extract_frame(lat, dec.coset)
         assert frame.rows == dec.rows
         assert rebuild_spans_lattice(dec)
-        _check_rebuild(frame, dec.code, dec.signs)
+        check_rebuild(frame, dec.code, dec.signs)
         if dec.code.dimension:
             short = make_code(lat.rank, dec.code.basis[1:])
             gens = construction_b_generators(dec.frame, short, dec.signs)
@@ -665,13 +664,13 @@ def test_rebuild_check_agrees_with_hnf_oracle(spec):
             with pytest.raises(NoSignPattern,
                                match="rebuilt lattice differs from the "
                                      "original"):
-                _check_rebuild(frame, short, dec.signs)
+                check_rebuild(frame, short, dec.signs)
             refused += 1
         flipped = (-dec.signs[0],) + dec.signs[1:]
         if dec.code.basis and dec.code.basis[0] & 1:
             assert not rebuild_spans_lattice(dec._replace(signs=flipped))
             with pytest.raises(NoSignPattern):
-                _check_rebuild(frame, dec.code, flipped)
+                check_rebuild(frame, dec.code, flipped)
     assert refused or spec == "2A1"
 
 
@@ -682,7 +681,7 @@ def test_rebuild_check_refuses_a_frame_that_is_not_orthogonal():
     rows = (frame.rows[1],) + frame.rows[1:]
     pairings = (frame.pairings[1],) + frame.pairings[1:]
     with pytest.raises(Incomplete, match="not orthogonal of norm 2"):
-        _check_rebuild(frame._replace(rows=rows, pairings=pairings),
+        check_rebuild(frame._replace(rows=rows, pairings=pairings),
                        dec.code, dec.signs)
 
 
