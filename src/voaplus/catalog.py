@@ -11,9 +11,12 @@ Grammar:
             | zero(n) | rep(n) | hamming8 | rm14 | code(n, 0101...)
             | lb(<code expr>)               Construction B over the code
 
-E8 is built as D8 extended by the all-half glue vector, Gamma16 as D16
-extended the same way.  The catalog below ships every object the reports
-and the acceptance suite need, each with its pinned invariants.
+The atoms that a name alone fixes (2A1, E8, Gamma16, hamming8, rm14) come
+from one table, _NAMED, and A<n>, D<n>, Z<n> from a second one, _SIZED,
+keyed by the letter.  E8 is built as D8 extended by the all-half glue
+vector, Gamma16 as D16 extended the same way.  The catalog below ships
+every object the reports and the acceptance suite need, each with its
+pinned invariants.
 """
 
 import re
@@ -127,28 +130,21 @@ def _glued_d(n):
     return _embedding_lattice(rows, 2)
 
 
+def _z_lattice(n):
+    return Lattice([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+_NAMED = {"2A1": lambda: Lattice([[8]]), "E8": lambda: _glued_d(8),
+          "Gamma16": lambda: _glued_d(16), "hamming8": hamming8, "rm14": rm14}
+_SIZED = {"A": _cartan_a, "D": _d_lattice, "Z": _z_lattice}
+
+
 def _atom_from_word(word, pos):
-    if word == "2A1":
-        return Lattice([[8]])
-    if word == "E8":
-        return _glued_d(8)
-    if word == "Gamma16":
-        return _glued_d(16)
-    if word == "hamming8":
-        return hamming8()
-    if word == "rm14":
-        return rm14()
-    m = re.fullmatch(r"A([0-9]+)", word)
+    if word in _NAMED:
+        return _NAMED[word]()
+    m = re.fullmatch(r"([ADZ])([0-9]+)", word)
     if m:
-        return _cartan_a(_size(m.group(1), pos))
-    m = re.fullmatch(r"D([0-9]+)", word)
-    if m:
-        return _d_lattice(_size(m.group(1), pos))
-    m = re.fullmatch(r"Z([0-9]+)", word)
-    if m:
-        n = _size(m.group(1), pos)
-        return Lattice([[1 if i == j else 0 for j in range(n)]
-                             for i in range(n)])
+        return _SIZED[m.group(1)](_size(m.group(2), pos))
     raise UnknownName("unknown name %s" % quoted(word), position=pos)
 
 

@@ -112,14 +112,11 @@ def cmd_shortvec(args):
         lines += ["  " + serialize.scaled_vec_text(den, r) for r in rows]
         return "\n".join(lines)
 
-    return emit(args, text, lambda: {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "kind": "short_vectors",
-        "norm": serialize.frac_str(m),
-        "coset": serialize.coset_json(coset) if coset else None,
-        "count": len(rows),
-        "vectors": [serialize.scaled_vec_json(den, r) for r in rows],
-    })
+    return emit(args, text, lambda: serialize.document(
+        "short_vectors", norm=serialize.frac_str(m),
+        coset=serialize.coset_json(coset) if coset else None,
+        count=len(rows),
+        vectors=[serialize.scaled_vec_json(den, r) for r in rows]))
 
 
 def cmd_rl(args):
@@ -133,9 +130,8 @@ def cmd_rl(args):
                   for c, n in zip(fc.cosets, fc.counts)]
         return "\n".join(lines)
 
-    return emit(args, text, lambda: {
-        "schema_version": serialize.SCHEMA_VERSION, "kind": "frame_cosets",
-        **serialize.frame_cosets_json(fc)})
+    return emit(args, text, lambda: serialize.document(
+        "frame_cosets", **serialize.frame_cosets_json(fc)))
 
 
 def cmd_decompose(args):
@@ -157,9 +153,8 @@ def cmd_decompose(args):
                          % "".join("+" if s > 0 else "-" for s in d.signs))
         return "\n".join(lines)
 
-    return emit(args, text, lambda: {
-        "schema_version": serialize.SCHEMA_VERSION, "kind": "decompositions",
-        "items": serialize.decompositions_json(decs)})
+    return emit(args, text, lambda: serialize.document(
+        "decompositions", items=serialize.decompositions_json(decs)))
 
 
 def cmd_orbit(args):
@@ -171,9 +166,8 @@ def cmd_orbit(args):
         lines += ["  " + c.label() for c in orbit.classes]
         return "\n".join(lines)
 
-    return emit(args, text, lambda: {
-        "schema_version": serialize.SCHEMA_VERSION, "kind": "orbit",
-        **serialize.orbit_json(orbit)})
+    return emit(args, text, lambda: serialize.document(
+        "orbit", **serialize.orbit_json(orbit)))
 
 
 def cmd_odd(args):
@@ -195,11 +189,9 @@ def cmd_selftest(args):
         lines.append("%d checks, %d failed" % (len(checks), len(failed)))
         return "\n".join(lines)
 
-    emit(args, text, lambda: {
-        "schema_version": serialize.SCHEMA_VERSION, "kind": "selftest",
-        "passed": len(checks) - len(failed), "failed": len(failed),
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                   for c in checks]})
+    emit(args, text, lambda: serialize.document(
+        "selftest", passed=len(checks) - len(failed), failed=len(failed),
+        checks=[c._asdict() for c in checks]))
     return 0 if not failed else 4
 
 

@@ -1,11 +1,11 @@
 """Linear binary codes with the predicates the lattice machinery needs.
 
-Codewords are bit-packed integers: coordinate 1 is bit 0, so the file
-format string "110..." sets bits 0 and 1.  The canonical basis is the
-reduced row-echelon form over F_2, which makes code equality basis
-equality.  Lengths stay small (16 in every case that matters, 20 with
-headroom), so weight distributions are settled by enumerating all 2^k
-words.
+Codewords are bit-packed integers: coordinate 1 is bit 0, so the 0/1
+string "110..." of ``code(n, ...)`` and of the JSON output sets bits 0
+and 1.  The canonical basis is the reduced row-echelon form over F_2,
+which makes code equality basis equality.  Lengths stay small (16 in
+every case that matters, 20 with headroom), so weight distributions are
+settled by enumerating all 2^k words.
 """
 
 from collections import namedtuple
@@ -51,16 +51,6 @@ def _f2_rank(rows):
                 break
             w ^= pivots[low]
     return len(pivots)
-
-
-def _word_sort_key(n):
-    # canonical order: lexicographic on the coordinate string, coordinate 1
-    # first; that is the numeric order of the words with their n bits reversed
-    spec = "0%db" % n
-
-    def key(w):
-        return int(format(w, spec)[::-1], 2)
-    return key
 
 
 class BinaryCode(namedtuple("BinaryCode", "length basis")):
@@ -209,9 +199,10 @@ def words_of_weight(code, w):
     """All codewords of weight exactly w, in canonical order."""
     if not 0 <= w <= code.length:
         raise WrongLength("weight %d outside [0, %d]" % (w, code.length))
-    found = [x for x in code.words() if x.bit_count() == w]
-    found.sort(key=_word_sort_key(code.length))
-    return found
+    # canonical order: lexicographic on the coordinate string, coordinate 1
+    # first, which is the order of the equal-length word strings
+    return sorted((x for x in code.words() if x.bit_count() == w),
+                  key=code.word_string)
 
 
 def rm14_subcode(code):

@@ -55,19 +55,18 @@ class AutReport(namedtuple("AutReport", (
         return self.orbit.cond_c
 
 
-def _isometry_order(lat, bound):
-    """|O(L)|, or None, without a search, above the rank bound."""
-    if lat.rank > (DEFAULT_RANK_BOUND if bound is None else bound):
-        return None
-    return orthogonal_group_order(lat)
-
-
-def _stabilizer_from_isometry(lat, isometry):
+def _orders(lat, bound):
+    """(|O(L)|, stabilizer order, reason): |O(L)| is None, without a
+    search, above the rank bound; the stabilizer order is None, with the
+    reason "roots present" or "rank bound", when it is unavailable."""
+    isometry = None
+    if lat.rank <= (DEFAULT_RANK_BOUND if bound is None else bound):
+        isometry = orthogonal_group_order(lat)
     if lat.root_count > 0:
-        return None, "roots present"
+        return isometry, None, "roots present"
     if isometry is None:
-        return None, "rank bound"
-    return 2 ** (lat.rank - 1) * isometry, None
+        return None, None, "rank bound"
+    return isometry, 2 ** (lat.rank - 1) * isometry, None
 
 
 def stabilizer_order(lat, bound=None):
@@ -77,9 +76,9 @@ def stabilizer_order(lat, bound=None):
     bound, else (None, "roots present" | "rank bound").
     """
     require_even(lat)
-    # with roots no order is claimed, so the search is skipped
-    isometry = None if lat.root_count else _isometry_order(lat, bound)
-    return _stabilizer_from_isometry(lat, isometry)
+    # with roots no order is claimed, so the search is skipped: bound 0
+    # lies below every rank
+    return _orders(lat, 0 if lat.root_count else bound)[1:]
 
 
 def analyze(lat, bound=None):
@@ -91,8 +90,7 @@ def analyze(lat, bound=None):
     fusion = None
     if not (orbit.cond_a or orbit.cond_b or orbit.cond_c):
         fusion = fusion_space(lat, orbit)
-    isometry = _isometry_order(lat, bound)
-    h, reason = _stabilizer_from_isometry(lat, isometry)
+    isometry, h, reason = _orders(lat, bound)
     notes = [NOTE_TWISTED]
     if h is not None:
         notes.append(NOTE_STABILIZER)

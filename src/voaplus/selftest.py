@@ -25,22 +25,15 @@ class Check(namedtuple("Check", "name ok detail", defaults=("",))):
 
 
 def _code_checks(entry, code, out):
-    exp = entry.expected
-    if "dim" in exp:
-        out(entry.name + ".dim", code.dimension == exp["dim"],
-            "got %d" % code.dimension)
-    if "doubly_even" in exp:
-        out(entry.name + ".doubly_even",
-            code.is_doubly_even == exp["doubly_even"],
-            "got %s" % code.is_doubly_even)
-    if "all_one" in exp:
-        out(entry.name + ".all_one",
-            code.contains_all_one == exp["all_one"],
-            "got %s" % code.contains_all_one)
-    if "weights" in exp:
-        out(entry.name + ".weights",
-            code.weight_distribution == exp["weights"],
-            "got %s" % code.weight_distribution)
+    got = {
+        "dim": code.dimension,
+        "doubly_even": code.is_doubly_even,
+        "all_one": code.contains_all_one,
+        "weights": code.weight_distribution,
+    }
+    for key, want in entry.expected.items():
+        out("%s.%s" % (entry.name, key), got.get(key) == want,
+            "got %s" % (got.get(key),))
 
 
 def _lattice_checks(entry, rep, out):

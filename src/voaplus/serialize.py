@@ -156,6 +156,11 @@ def _write(x, nl, out):
         out.append(_scalar(x))
 
 
+def document(kind, **fields):
+    """The JSON document of one kind: its fields, schema_version and kind."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def coset_json(coset):
     return scaled_vec_json(coset.den, coset.nums)
 
@@ -214,43 +219,41 @@ def lattice_json(lat):
 
 
 def aut_report_json(rep):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "aut_report",
-        "lattice": lattice_json(rep.lattice),
-        "frame_cosets": frame_cosets_json(rep.frame_coset_set),
-        "decompositions": decompositions_json(rep.decompositions),
-        "conditions": {"len8_all_one": rep.cond_a,
-                       "len16_rm14": rep.cond_b,
-                       "e8": rep.cond_c},
-        "orbit": orbit_json(rep.orbit),
-        "fusion": fusion_json(rep.fusion),
-        "orbit_size": rep.orbit_size,
-        "index_over_stabilizer": rep.index_over_stabilizer,
-        "isometry_order": rep.isometry_order,
-        "stabilizer_order": rep.stabilizer_order,
-        "stabilizer_reason": rep.stabilizer_reason,
-        "aut_order": rep.aut_order,
-        "exceeds_stabilizer": rep.exceeds_stabilizer,
-        "notes": list(rep.notes),
-    }
+    return document(
+        "aut_report",
+        lattice=lattice_json(rep.lattice),
+        frame_cosets=frame_cosets_json(rep.frame_coset_set),
+        decompositions=decompositions_json(rep.decompositions),
+        conditions={"len8_all_one": rep.cond_a,
+                    "len16_rm14": rep.cond_b,
+                    "e8": rep.cond_c},
+        orbit=orbit_json(rep.orbit),
+        fusion=fusion_json(rep.fusion),
+        orbit_size=rep.orbit_size,
+        index_over_stabilizer=rep.index_over_stabilizer,
+        isometry_order=rep.isometry_order,
+        stabilizer_order=rep.stabilizer_order,
+        stabilizer_reason=rep.stabilizer_reason,
+        aut_order=rep.aut_order,
+        exceeds_stabilizer=rep.exceeds_stabilizer,
+        notes=list(rep.notes),
+    )
 
 
 def odd_report_json(rep):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "odd_report",
-        "lattice": {"rank": rep.lattice.rank, "det": rep.lattice.det,
-                    "gram": [list(r) for r in rep.lattice.gram]},
-        "even_part": lattice_json(rep.even_part),
-        "even_basis": [list(r) for r in rep.even_basis],
-        "odd_rep": scaled_vec_json(1, rep.odd_rep),
-        "odd_rep_norm": frac_str(rep.odd_rep_norm),
-        "odd_coset": coset_json(rep.odd_coset),
-        "odd_coset_in_orbit": rep.odd_coset_in_orbit,
-        "aut_order": rep.aut_order,
-        "even_report": aut_report_json(rep.even_report),
-    }
+    return document(
+        "odd_report",
+        lattice={"rank": rep.lattice.rank, "det": rep.lattice.det,
+                 "gram": [list(r) for r in rep.lattice.gram]},
+        even_part=lattice_json(rep.even_part),
+        even_basis=[list(r) for r in rep.even_basis],
+        odd_rep=scaled_vec_json(1, rep.odd_rep),
+        odd_rep_norm=frac_str(rep.odd_rep_norm),
+        odd_coset=coset_json(rep.odd_coset),
+        odd_coset_in_orbit=rep.odd_coset_in_orbit,
+        aut_order=rep.aut_order,
+        even_report=aut_report_json(rep.even_report),
+    )
 
 
 def aut_report_text(rep):

@@ -19,6 +19,15 @@ from voaplus.errors import LengthMismatch, ParseError, UnknownName
 REPO = Path(__file__).resolve().parent.parent
 
 
+def use_small_catalog(monkeypatch, max_rank=4):
+    """Point selftest at the codes and the lattices up to max_rank."""
+    import voaplus.selftest as st
+    monkeypatch.setattr(st, "CATALOG", tuple(
+        e for e in st.CATALOG
+        if e.expected.get("rank", 0) <= max_rank or e.kind == "code"))
+    return st
+
+
 def test_parse_spec_lattice_atoms():
     assert parse_spec("2A1").gram == ((8,),)
     assert parse_spec("sqrt2*(A1+A1)").gram == ((4, 0), (0, 4))
@@ -91,6 +100,23 @@ def test_cli_analyze_json_values(capsys):
     assert doc["exceeds_stabilizer"] is True
     assert doc["schema_version"] == 1
     assert doc["frame_cosets"]["cosets"][0]["rep"] == ["1/2"]
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["analyze", "2A1"], "aut_report"), (["odd", "Z1"], "odd_report"),
+    (["shortvec", "2A1", "--norm", "2"], "short_vectors"),
+    (["rl", "2A1"], "frame_cosets"), (["decompose", "2A1"], "decompositions"),
+    (["orbit", "2A1"], "orbit"), (["selftest"], "selftest")],
+    ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_cli_json_schema_version_and_kind(monkeypatch, capsys, argv, kind):
+    # the kinds docs/json_schema.md names, all at schema_version 1
+    use_small_catalog(monkeypatch, max_rank=2)
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["schema_version"], doc["kind"]) == (1, kind)
+    if kind == "odd_report":
+        assert doc["even_report"]["schema_version"] == 1
+        assert doc["even_report"]["kind"] == "aut_report"
 
 
 def test_cli_text_json_numeric_content_agrees(capsys):
@@ -410,14 +436,17 @@ def test_nesting_up_to_the_depth_limit_parses():
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "2A1"], ["odd", "Z1"], ["rl", "2A1"], ["decompose", "2A1"],
-    ["orbit", "2A1"], ["shortvec", "2A1", "--norm", "2", "--coset", "1/2"]],
+    ["orbit", "2A1"], ["shortvec", "2A1", "--norm", "2", "--coset", "1/2"],
+    ["selftest"]],
     ids=lambda argv: argv[0])
 def test_cli_text_mode_builds_no_json(monkeypatch, capsys, argv):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("JSON built in text mode")
-    for name in ("aut_report_json", "odd_report_json", "frame_cosets_json",
-                 "decompositions_json", "orbit_json", "scaled_vec_json"):
+    for name in ("document", "aut_report_json", "odd_report_json",
+                 "frame_cosets_json", "decompositions_json", "orbit_json",
+                 "scaled_vec_json"):
         monkeypatch.setattr(serialize, name, refuse)
+    use_small_catalog(monkeypatch, max_rank=2)
     assert main(argv) == 0
     assert capsys.readouterr().out
 
@@ -443,13 +472,19 @@ def test_cli_lattice_file_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", ["gramophone", {"gram": 5},
-                                 {"length": "eight"},
-                                 {"length": 4, "generators": 5}])
+                                 {"gram": [[2, 0], [0]]}, {"gram": []}])
 def test_cli_lattice_file_wrong_shape(tmp_path, capsys, doc):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if doc == "gramophone":
+        assert "input file must hold a JSON object" in err
+    elif doc["gram"] == 5:
+        assert "'gram' must be a list of integer lists" in err
+    else:
+        assert "gram matrix must be square and nonempty" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -635,10 +670,7 @@ def test_cli_rank_bound_env(monkeypatch, capsys):
 
 def test_cli_selftest_small(monkeypatch, capsys):
     # keep the sweep small: drop the rank-16 entries for this smoke test
-    import voaplus.selftest as st
-    small = tuple(e for e in st.CATALOG
-                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
-    monkeypatch.setattr(st, "CATALOG", small)
+    use_small_catalog(monkeypatch)
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "0 failed" in out
@@ -647,20 +679,14 @@ def test_cli_selftest_small(monkeypatch, capsys):
 def test_cli_selftest_ignores_the_rank_bound(monkeypatch, capsys):
     # the pinned orders assume the default bound; at bound 0 the self-test
     # once reported them missing and exited 4
-    import voaplus.selftest as st
-    small = tuple(e for e in st.CATALOG
-                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
-    monkeypatch.setattr(st, "CATALOG", small)
+    use_small_catalog(monkeypatch)
     monkeypatch.setenv("VOAPLUS_RANK_BOUND", "0")
     assert main(["selftest"]) == 0
     assert "0 failed" in capsys.readouterr().out
 
 
 def test_cli_selftest_detects_injected_violation(monkeypatch, capsys):
-    import voaplus.selftest as st
-    small = tuple(e for e in st.CATALOG
-                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
-    monkeypatch.setattr(st, "CATALOG", small)
+    st = use_small_catalog(monkeypatch)
     monkeypatch.setattr(st, "twisted_character_count_mod2", lambda lat: -1)
     assert main(["selftest"]) == 4
     assert "FAIL" in capsys.readouterr().out
@@ -668,11 +694,8 @@ def test_cli_selftest_detects_injected_violation(monkeypatch, capsys):
 
 def test_cli_selftest_compares_torsion2_routes(monkeypatch, capsys):
     # break the per-coset route only; the sweep keeps the real kernel
-    import voaplus.selftest as st
     from voaplus.kernels import enumerate_offsets
-    small = tuple(e for e in st.CATALOG
-                  if e.expected.get("rank", 0) <= 4 or e.kind == "code")
-    monkeypatch.setattr(st, "CATALOG", small)
+    st = use_small_catalog(monkeypatch)
     monkeypatch.setattr(st, "kernels", SimpleNamespace(
         enumerate_offsets=lambda *args: enumerate_offsets(*args)[:-1]))
     assert main(["selftest"]) == 4
@@ -680,6 +703,17 @@ def test_cli_selftest_compares_torsion2_routes(monkeypatch, capsys):
               if "FAIL" in line]
     assert failed
     assert all(".torsion2_routes_agree" in line for line in failed)
+
+
+def test_cli_selftest_reports_a_wrong_code_invariant(monkeypatch, capsys):
+    import voaplus.selftest as st
+    monkeypatch.setattr(st, "CATALOG", tuple(
+        e._replace(expected={**e.expected, "dim": 2}) if e.name == "rep8"
+        else e for e in st.CATALOG if e.kind == "code"))
+    assert main(["selftest"]) == 4
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "FAIL" in line]
+    assert failed == ["[FAIL] rep8.dim: got 1"]
 
 
 def test_cli_fractional_norm(capsys):
@@ -692,10 +726,7 @@ def test_cli_fractional_norm(capsys):
 
 
 def test_cli_selftest_json(monkeypatch, capsys):
-    import voaplus.selftest as st
-    small = tuple(e for e in st.CATALOG
-                  if e.expected.get("rank", 0) <= 2 or e.kind == "code")
-    monkeypatch.setattr(st, "CATALOG", small)
+    use_small_catalog(monkeypatch, max_rank=2)
     assert main(["selftest", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] == 0
