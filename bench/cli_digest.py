@@ -3,12 +3,14 @@
 
 Runs each command in a fresh ``python -m voaplus`` process and prints one
 line per command: the sha256 of its stdout and stderr, its exit code, and
-the command.  With no arguments the list has 124 commands: six per spec
+the command.  With no arguments the list has 129 commands: six per spec
 (``analyze`` as text and JSON, ``rl``, ``decompose --format json``,
 ``orbit``, ``shortvec --norm 2``) for the 18 even catalog lattices and A1+A1
-in a skewed basis, plus ten more (odd lattices, ``selftest``, a coset
-enumeration, the other output formats of lb(rm14), and two large
-short-vector listings, D16 at norm 4 as JSON and E8 at norm 6 as text).
+in a skewed basis, plus fifteen more (odd lattices, ``selftest``, a coset
+enumeration, the other output formats of lb(rm14), two large short-vector
+listings, D16 at norm 4 as JSON and E8 at norm 6 as text, the text of a
+lattice with no Construction-B coset, and four refusals: a code where a
+lattice is wanted, exit 3, and three malformed expressions, exit 2).
 Given SPECs, it runs only the six per-spec commands for each of them.
 
 Two checkouts give the same CLI output exactly when their digests match:
@@ -38,7 +40,9 @@ EXTRA = (["odd", "Z1"], ["odd", "Z2"], ["odd", "Z2", "--format", "json"],
          ["decompose", "lb(rm14)"], ["rl", "lb(rm14)", "--format", "json"],
          ["orbit", "lb(rm14)", "--format", "json"],
          ["shortvec", "D16", "--norm", "4", "--format", "json"],
-         ["shortvec", "E8", "--norm", "6"])
+         ["shortvec", "E8", "--norm", "6"],
+         ["decompose", "A1"], ["analyze", "rm14"], ["analyze", "0*A1"],
+         ["analyze", "code(4 1100)"], ["analyze", "gram([[2,1] [1,2]])"])
 
 
 def spec_commands(spec):

@@ -12,11 +12,13 @@ Grammar:
             | lb(<code expr>)               Construction B over the code
 
 The atoms that a name alone fixes (2A1, E8, Gamma16, hamming8, rm14) come
-from one table, _NAMED, and A<n>, D<n>, Z<n> from a second one, _SIZED,
-keyed by the letter.  E8 is built as D8 extended by the all-half glue
-vector, Gamma16 as D16 extended the same way.  The catalog below ships
-every object the reports and the acceptance suite need, each with its
-pinned invariants.
+from one table, _NAMED, A<n>, D<n>, Z<n> from a second one, _SIZED, keyed
+by the letter, and what a call builds from its argument from a third,
+_CALLS.  The parser reads every token through one typed rule (take), every
+comma list through one (listed) and every call through one (factor).  E8
+is built as D8 extended by the all-half glue vector, Gamma16 as D16
+extended the same way.  The catalog below ships every object the reports
+and the acceptance suite need, each with its pinned invariants.
 """
 
 import re
@@ -44,6 +46,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<word>[0-9]*[A-Za-z][A-Za-z0-9]*)"
 
 
 def _tokenize(text):
+    """(kind, text, position) for each token, then ("end", None, len(text)).
+    A symbol is its own kind; an int keeps its digits as written, so that
+    a code word keeps its leading zeros."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -54,13 +59,8 @@ def _tokenize(text):
                 break
             raise ParseError("unexpected character %r" % stripped[0],
                              position=len(text) - len(stripped))
-        if m.group("word"):
-            tokens.append(("word", m.group("word"), m.start("word")))
-        elif m.group("int"):
-            # kept as written: a code word keeps its leading zeros
-            tokens.append(("int", m.group("int"), m.start("int")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
+        kind, tok = m.lastgroup, m.group(m.lastgroup)
+        tokens.append((tok if kind == "sym" else kind, tok, m.start(kind)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -148,12 +148,52 @@ def _atom_from_word(word, pos):
     raise UnknownName("unknown name %s" % quoted(word), position=pos)
 
 
+def _lb(code, pos):
+    if not isinstance(code, BinaryCode):
+        raise ParseError("lb(...) needs a code", position=pos)
+    return _construction_b(code)[0]
+
+
+# What each call builds from its argument once its ')' is read, naming pos
+# in its errors; "(" is the group (expr).
+_CALLS = {"(": lambda value, pos: value, "lb": _lb,
+          "gram": lambda rows, pos: Lattice(rows),
+          "zero": lambda digits, pos: zero_code(_size(digits, pos)),
+          "rep": lambda digits, pos: repetition_code(_size(digits, pos)),
+          "code": lambda args, pos: make_code(args[0], args[1:])}
+
+
 class _Parser:
+    """Recursive descent: take() reads a token of a wanted kind, listed()
+    a comma list, factor() a call; self.pos is the last token's position."""
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+
+    def skip(self, kind):
+        """Read the next token if it is of this kind; whether it was."""
+        found = self.tokens[self.i][0] == kind
+        if found:
+            self.take(None, kind)
+        return found
+
+    def take(self, message, *kinds):
+        """The next token's text, refused with message unless its kind is
+        one of kinds."""
+        kind, text, self.pos = self.tokens[self.i]
+        if kind not in kinds:
+            raise ParseError(message, position=self.pos)
+        self.i += 1
+        return text
+
+    def listed(self, item, close, first=None):
+        """Yield first() (item() by default), then item() after each ',',
+        reading the list through its close symbol."""
+        yield (first or item)()
+        while self.take("expected ',' or %r" % close, ",", close) == ",":
+            yield item()
 
     def nested(self, parse, pos):
         """parse() one level deeper, refused past DEPTH_LIMIT levels."""
@@ -165,149 +205,80 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_sym(self, sym):
-        kind, val, pos = self.next()
-        if kind != "sym" or val != sym:
-            raise ParseError("expected %r" % sym, position=pos)
-
     def parse(self):
         value = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", position=pos)
+        self.take("trailing input", "end")
         return value
 
     def expr(self):
         terms = [self.term()]
-        while True:
-            kind, val, pos = self.peek()
-            if kind != "sym" or val != "+":
-                return terms[0] if len(terms) == 1 else direct_sum(*terms)
-            self.next()
+        while self.skip("+"):
+            pos = self.pos
             rhs = self.term()
             if not isinstance(terms[-1], Lattice) or not isinstance(rhs, Lattice):
                 raise ParseError("direct sum needs two lattices", position=pos)
             terms.append(rhs)
             # the summands are built, their sum only once the ranks fit
             _check_rank(sum(t.rank for t in terms), pos)
+        return terms[0] if len(terms) == 1 else direct_sum(*terms)
 
     def term(self):
-        kind, val, pos = self.peek()
-        if kind in ("int", "word") and self.i + 1 < len(self.tokens):
-            nxt = self.tokens[self.i + 1]
-            if nxt[0] == "sym" and nxt[1] == "*" and (
-                    kind == "int" or val == "sqrt2"):
-                self.next()
-                self.next()
-                inner = self.nested(self.term, pos)
-                if not isinstance(inner, Lattice):
-                    raise ParseError("scaling needs a lattice", position=pos)
-                if kind == "word":
-                    return rescale(inner, 2)
-                k = _int(val, pos)
-                if k <= 0:
-                    raise ParseError("scale factor must be positive", position=pos)
-                return rescale(inner, k * k)
+        kind, val, pos = self.tokens[self.i]
+        if (kind == "int" or val == "sqrt2") and (
+                self.tokens[self.i + 1][0] == "*"):
+            self.i += 2
+            inner = self.nested(self.term, pos)
+            if not isinstance(inner, Lattice):
+                raise ParseError("scaling needs a lattice", position=pos)
+            if kind == "word":
+                return rescale(inner, 2)
+            k = _int(val, pos)
+            if k <= 0:
+                raise ParseError("scale factor must be positive", position=pos)
+            return rescale(inner, k * k)
         return self.factor()
 
     def factor(self):
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == "(":
-            self.next()
-            value = self.nested(self.expr, pos)
-            self.expect_sym(")")
-            return value
-        if kind == "word":
-            return self.atom()
-        raise ParseError("expected a name or '('", position=pos)
-
-    def atom(self):
-        kind, word, pos = self.next()
-        nxt = self.peek()
-        call = nxt[0] == "sym" and nxt[1] == "("
-        if word == "gram":
-            self.expect_sym("(")
-            mat = self.matrix_literal()
-            self.expect_sym(")")
-            return Lattice(mat)
-        if word == "zero" and call:
-            return zero_code(self.int_call())
-        if word == "rep" and call:
-            return repetition_code(self.int_call())
-        if word == "code" and call:
-            return self.code_literal()
-        if word == "lb" and call:
-            self.expect_sym("(")
-            inner = self.nested(self.expr, pos)
-            self.expect_sym(")")
-            if not isinstance(inner, BinaryCode):
-                raise ParseError("lb(...) needs a code", position=pos)
-            return _construction_b(inner)[0]
-        if call:
-            raise ParseError("%s is not a constructor" % quoted(word),
+        """A name, or a call of _CALLS: its '(', its argument, its ')'."""
+        name = self.take("expected a name or '('", "word", "(")
+        pos = self.pos
+        if name != "(" and not self.skip("("):
+            if name == "gram":      # not a name: a bare gram wants its '('
+                self.take("expected '('", "(")
+            return _atom_from_word(name, pos)
+        if name not in _CALLS:
+            raise ParseError("%s is not a constructor" % quoted(name),
                              position=pos)
-        return _atom_from_word(word, pos)
+        if name in ("(", "lb"):
+            arg = self.nested(self.expr, pos)
+        elif name == "gram":
+            self.take("expected '['", "[")
+            arg = []
+            for row in self.listed(self.row, "]"):
+                arg.append(row)
+                _check_rank(len(arg), self.pos)     # at the row's ']'
+        elif name == "code":    # its list reads the call's ')'
+            return _CALLS[name](list(self.listed(self.word, ")", self.length)),
+                                pos)
+        else:
+            arg = self.take("expected an integer", "int")
+            pos = self.pos
+        self.take("expected ')'", ")")
+        return _CALLS[name](arg, pos)
 
-    def int_call(self):
-        self.expect_sym("(")
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise ParseError("expected an integer", position=pos)
-        self.expect_sym(")")
-        return _size(val, pos)
+    def row(self):
+        self.take("expected '['", "[")
+        return list(self.listed(lambda: _int(
+            self.take("expected an integer entry", "int"), self.pos), "]"))
 
-    def matrix_literal(self):
-        self.expect_sym("[")
-        rows = []
-        while True:
-            self.expect_sym("[")
-            row = []
-            while True:
-                kind, val, pos = self.next()
-                if kind != "int":
-                    raise ParseError("expected an integer entry", position=pos)
-                row.append(_int(val, pos))
-                kind, val, pos = self.next()
-                if kind == "sym" and val == ",":
-                    continue
-                if kind == "sym" and val == "]":
-                    break
-                raise ParseError("expected ',' or ']'", position=pos)
-            rows.append(row)
-            _check_rank(len(rows), pos)
-            kind, val, pos = self.next()
-            if kind == "sym" and val == ",":
-                continue
-            if kind == "sym" and val == "]":
-                return rows
-            raise ParseError("expected ',' or ']'", position=pos)
+    def length(self):
+        return _size(self.take("expected the code length", "int"), self.pos)
 
-    def code_literal(self):
-        self.expect_sym("(")
-        kind, n, pos = self.next()
-        if kind != "int":
-            raise ParseError("expected the code length", position=pos)
-        n = _size(n, pos)
-        gens = []
-        while True:
-            kind, val, pos = self.next()
-            if kind == "sym" and val == ")":
-                break
-            if kind != "sym" or val != ",":
-                raise ParseError("expected ',' or ')'", position=pos)
-            kind, val, pos = self.next()
-            if kind != "int" or set(val) - {"0", "1"}:
-                raise ParseError("expected a 0/1 word", position=pos)
-            gens.append(val)
-        return make_code(n, gens)
+    def word(self):
+        word = self.take("expected a 0/1 word", "int")
+        if set(word) - {"0", "1"}:
+            raise ParseError("expected a 0/1 word", position=self.pos)
+        return word
 
 
 def parse_spec(text):

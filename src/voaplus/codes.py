@@ -175,24 +175,26 @@ def repetition_code(n):
     return make_code(n, [(1 << n) - 1])
 
 
+def reed_muller1(m):
+    """The first-order Reed-Muller code RM(1, m) of length 2^m.
+
+    Generated by the all-one word together with the m coordinate
+    hyperplane indicators on {0,1}^m.
+    """
+    n = 1 << m
+    planes = [word_from_support(i for i in range(n) if (i >> j) & 1)
+              for j in range(m)]
+    return make_code(n, [(1 << n) - 1] + planes)
+
+
 def hamming8():
-    """The [8,4] extended Hamming code (weights 0, 4, 8)."""
-    one = (1 << 8) - 1
-    planes = [word_from_support(i for i in range(8) if (i >> j) & 1)
-              for j in range(3)]
-    return make_code(8, [one] + planes)
+    """The [8,4] extended Hamming code RM(1, 3) (weights 0, 4, 8)."""
+    return reed_muller1(3)
 
 
 def rm14():
-    """The [16,5] first-order Reed-Muller code.
-
-    Generated by the all-one word together with the four coordinate
-    hyperplane indicators on {0,1}^4; weights are 0, 8 and 16.
-    """
-    one = (1 << 16) - 1
-    planes = [word_from_support(i for i in range(16) if (i >> j) & 1)
-              for j in range(4)]
-    return make_code(16, [one] + planes)
+    """The [16,5] first-order Reed-Muller code RM(1, 4) (weights 0, 8, 16)."""
+    return reed_muller1(4)
 
 
 def words_of_weight(code, w):

@@ -108,10 +108,7 @@ class FrameDecomposition(namedtuple("FrameDecomposition",
     """
     __slots__ = ()
 
-    @property
-    def frame(self):
-        """The frame vectors as tuples of Fractions."""
-        return tuple(intmat.fraction_rows(self.rows, 2))
+    frame = Frame.vectors
 
 
 def build_construction_b(code):

@@ -122,7 +122,10 @@ class OddReport(namedtuple("OddReport", (
         "odd_coset_in_orbit even_report aut_order"))):
     """even_basis: rows over the original basis; odd_rep: an integer vector
     of odd norm odd_rep_norm, in original coordinates; odd_coset: its class
-    over the even part; aut_order: 2 * aut(even)/orbit when computable."""
+    over the even part.  Every norm in that class is odd (N(odd_rep) odd,
+    2<odd_rep, x> and N(x) even), so it is never a frame coset:
+    odd_coset_in_orbit is always False, and aut_order, the total order it
+    would give, always None."""
     __slots__ = ()
 
 
@@ -159,8 +162,8 @@ def odd_split(lat, bound=None):
 
     Verifies the split structurally (even part of index 2, hence doubled
     vectors inside it; odd norm), runs the even pipeline on the even part
-    and, when the odd representative's class lies in the orbit and the even
-    order is known, reports 2 * aut(even) / orbit as the total order.
+    and looks the odd representative's class up among its frame cosets.
+    It is never one of them (see OddReport), so no total order is claimed.
     """
     sub, basis, alpha = even_sublattice(lat)
     if not sub.is_even:
@@ -181,11 +184,7 @@ def odd_split(lat, bound=None):
     if coset is None:
         raise SplitCheckFailed("alpha is not in the even part's dual")
     rep = analyze(sub, bound)
-    in_orbit = coset in rep.frame_coset_set.cosets
-    total = None
-    if in_orbit and rep.aut_order is not None:
-        total = 2 * rep.aut_order // rep.orbit_size
     return OddReport(lattice=lat, even_part=sub, even_basis=basis,
                      odd_rep=alpha, odd_rep_norm=alpha_norm, odd_coset=coset,
-                     odd_coset_in_orbit=in_orbit, even_report=rep,
-                     aut_order=total)
+                     odd_coset_in_orbit=coset in rep.frame_coset_set.cosets,
+                     even_report=rep, aut_order=None)

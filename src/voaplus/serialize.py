@@ -305,10 +305,7 @@ def odd_report_text(rep):
       % (scaled_vec_text(1, rep.odd_rep), num_text(rep.odd_rep_norm)))
     w("its class over the even part: %s (in orbit: %s)"
       % (rep.odd_coset.label(), rep.odd_coset_in_orbit))
-    if rep.aut_order is not None:
-        w("aut order = %s" % int_str(rep.aut_order))
-    else:
-        w("aut order unavailable (needs the even-part order and an in-orbit class)")
+    w("aut order unavailable (needs the even-part order and an in-orbit class)")
     w("--- even part report ---")
     w(aut_report_text(rep.even_report))
     return "\n".join(out)

@@ -1,12 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import det_bareiss, solve_integral
+from helpers import det_bareiss, random_posdef_gram, solve_integral
 from voaplus import (CATALOG, Lattice, analyze, build_construction_b,
                      odd_split, parse_spec, repetition_code, serialize,
                      stabilizer_order, vectors_of_norm)
@@ -134,14 +135,27 @@ def test_odd_split_mixed_diagonal():
     assert rep.even_part.det == 4 * lat.det
 
 
-def test_odd_coset_has_odd_norms():
-    # norms in the odd class are odd, so it can never meet the norm-2
-    # bound; the order formula leg stays empty for every odd lattice
-    for spec in ["Z1", "Z2", "gram([[1,0],[0,4]])", "gram([[3,1],[1,2]])"]:
-        rep = odd_split(parse_spec(spec))
-        assert int(rep.odd_rep_norm) % 2 == 1
-        assert vectors_of_norm(rep.even_part, rep.odd_coset, 2) == []
-        assert rep.odd_coset_in_orbit is False
+ODD_GRAMS = st.builds(
+    lambda seed, n: random_posdef_gram(random.Random(seed), n),
+    st.integers(0, 2 ** 32 - 1), st.integers(1, 4)).filter(
+        lambda g: g is not None and any(g[i][i] % 2 for i in range(len(g))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram=ODD_GRAMS)
+@example(gram=[[1]])
+@example(gram=[[1, 0], [0, 1]])
+@example(gram=[[1, 0], [0, 4]])
+@example(gram=[[3, 1], [1, 2]])
+def test_odd_coset_has_odd_norms(gram):
+    # N(alpha) is odd, 2<alpha, x> and N(x) are even for x in the even
+    # part: every norm in the odd class is odd, so it never meets the
+    # norm-2 bound of a frame coset and no total order is ever claimed
+    rep = odd_split(Lattice(gram))
+    assert rep.odd_rep_norm % 2 == 1
+    assert vectors_of_norm(rep.even_part, rep.odd_coset, 2) == []
+    assert rep.odd_coset_in_orbit is False
+    assert rep.aut_order is None
 
 
 # Breaks the even split of Z2 on purpose: the even part's basis is doubled,
